@@ -45,6 +45,14 @@ def write_sequence_csv(path: str, seq: Sequence) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_columns(path: str, body, columns):
+    """Cast the listed (column, type) fields of every row; malformed rows are a ConfigError."""
+    try:
+        return [np.array([cast(r[c]) for r in body]) for c, cast in columns]
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{path}: malformed row ({exc})") from None
+
+
 def read_table_csv(path: str):
     """Read a sequence or ensemble CSV; returns ('sequence', Sequence) or ('ensemble', Ensemble)."""
     with open(path, newline="") as fh:
@@ -54,15 +62,16 @@ def read_table_csv(path: str):
     header = rows[0].split(",")
     body = [row.split(",") for row in rows[1:]]
     if header == ["index", "time", "value"]:
-        times = np.array([float(r[1]) for r in body])
-        values = np.array([float(r[2]) for r in body])
+        times, values = _parse_columns(path, body, ((1, float), (2, float)))
         return "sequence", Sequence(values, SampleGrid(times))
     if header == ["rep", "index", "value"]:
-        reps = np.array([int(r[0]) for r in body])
-        idx = np.array([int(r[1]) for r in body])
-        vals = np.array([float(r[2]) for r in body])
-        n_rep, n_idx = reps.max() + 1, idx.max() + 1
-        if len(body) != n_rep * n_idx:
+        reps, idx, vals = _parse_columns(path, body, ((0, int), (1, int), (2, float)))
+        if not body or reps.min() < 0 or idx.min() < 0:
+            raise ConfigError(f"{path}: ensemble needs rows with non-negative rep and index")
+        n_rep, n_idx = int(reps.max()) + 1, int(idx.max()) + 1
+        # the size check bounds the bincount; the counts reject duplicated or missing cells
+        if (len(body) != n_rep * n_idx
+                or np.any(np.bincount(reps * n_idx + idx, minlength=len(body)) != 1)):
             raise ConfigError(f"{path}: ensemble table is not a full rep x index grid")
         table = np.empty((n_rep, n_idx))
         table[reps, idx] = vals
@@ -234,7 +243,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fft-len", type=int, default=64)
     p.add_argument("--bins", type=int, default=20)
     p.add_argument("--threads", type=int, default=1,
-                   help="advisory parallelism hint; never changes results")
+                   help="currently ignored; accepted for compatibility")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
     return parser

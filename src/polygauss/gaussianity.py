@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import _kernels
 from .errors import (
@@ -223,6 +222,8 @@ def chi2_survival(x: float, dof: int) -> float:
         raise ConfigError("degrees of freedom must be positive")
     if x < 0 or not math.isfinite(x):
         raise ConfigError("statistic must be finite and non-negative")
+    from scipy.special import gammaincc  # deferred: scipy.special dominates import time
+
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 

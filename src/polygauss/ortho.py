@@ -165,6 +165,11 @@ def select_order(
     ``penalized`` needs the observed record and the noise variance and uses a
     Cp-style unbiased surrogate; ``fixed`` passes ``fixed_order`` through.
     Ties break toward the smaller order.
+
+    ``j_range`` must hold distinct integer orders in ascending order.  The
+    recurrence is prefix-nested (the first J rows of the order-K basis are the
+    order-J basis), so the basis is built once at the maximum order and each
+    candidate fit uses its first J rows.
     """
     N = grid.count
     if mode == "fixed":
@@ -181,7 +186,11 @@ def select_order(
     orders = list(j_range) if j_range is not None else list(range(1, N + 1))
     if not orders:
         raise ConfigError("empty order range")
-    if min(orders) < 1 or max(orders) > N:
+    if not all(isinstance(J, (int, np.integer)) for J in orders):
+        raise ConfigError("orders must be integers")
+    if any(j1 >= j2 for j1, j2 in zip(orders, orders[1:])):
+        raise ConfigError("order range must be strictly ascending")
+    if orders[0] < 1 or orders[-1] > N:
         raise OrderRangeError(f"order range outside [1, {N}]")
 
     if mode == "oracle":
@@ -195,10 +204,11 @@ def select_order(
         data = observed.values
         penalty = 2.0 * noise_var / N
 
+    full = build_basis(grid, orders[-1])
     curve = []
     for J in orders:
-        basis = build_basis(grid, J)
-        fit = (basis.values @ data) / basis.norms @ basis.values
+        P, q = full.values[:J], full.norms[:J]
+        fit = (P @ data) / q @ P
         risk = float(np.sum((data - fit) ** 2) / N + penalty * J)
         curve.append((J, risk))
     best = min(curve, key=lambda jr: (jr[1], jr[0]))

@@ -143,6 +143,24 @@ class TestTestCommand:
         assert run("test", "--in", src, "--out-dir", str(tmp_path / "r")) == 0
 
 
+class TestMalformedCsv:
+    @pytest.mark.parametrize("text", [
+        "rep,index,value\n0,0,1.0\n0,0,2.0\n0,1,3.0\n1,1,4.0\n",  # duplicate hides a hole
+        "rep,index,value\n0,0,1.0\n0,1,2.0\n1,0,3.0\n1,-1,4.0\n",  # negative index
+        "rep,index,value\n0,0,1.0\n0,1,abc\n",                      # non-numeric field
+        "rep,index,value\n0,0,1.0\n0,1\n",                          # short row
+        "rep,index,value\n",                                         # no rows
+        "index,time,value\n0,0.0,1.0\n1,0.1\n",                     # short sequence row
+    ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence"])
+    def test_exit_config_without_traceback(self, tmp_path, capsys, text):
+        src = tmp_path / "bad.csv"
+        src.write_text(text)
+        assert run("test", "--in", str(src), "--out-dir", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(src) in err
+
+
 class TestSimulate:
     def test_seed_required(self, tmp_path):
         assert run("simulate", "--paper", "--reps", "16",

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -226,6 +229,18 @@ class TestChi2Survival:
             pg.chi2_survival(-1.0, 2)
         with pytest.raises(pg.ConfigError):
             pg.chi2_survival(1.0, 0)
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        # scipy.special is most of the package's import time; only chi2_survival needs it
+        src = os.path.dirname(os.path.dirname(pg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, polygauss; print('scipy.special' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestExcessKurtosis:

@@ -87,6 +87,20 @@ class TestBuildBasis:
         with pytest.raises(pg.DegenerateGridError):
             pg.build_basis(pg.SampleGrid(t), 12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 80), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1), st.data())
+    def test_prefix_of_higher_order_is_bitwise_equal(self, N, dt, seed, data):
+        jitter = np.random.default_rng(seed).uniform(-0.4, 0.4, N)
+        grid = pg.SampleGrid((np.arange(N) + jitter) * dt)
+        K = data.draw(st.integers(1, N))
+        J = data.draw(st.integers(1, K))
+        full, part = pg.build_basis(grid, K), pg.build_basis(grid, J)
+        npt.assert_array_equal(full.values[:J], part.values)
+        npt.assert_array_equal(full.norms[:J], part.norms)
+        # an order-J build computes a_j and b_j only for j < J - 1
+        npt.assert_array_equal(full.recurrence_a[:J - 1], part.recurrence_a[:J - 1])
+        npt.assert_array_equal(full.recurrence_b[:J - 1], part.recurrence_b[:J - 1])
+
     def test_grid_validation(self):
         with pytest.raises(pg.ConfigError):
             pg.SampleGrid(np.array([0.0, 0.0, 1.0]))
@@ -269,3 +283,45 @@ class TestSelectOrder:
             pg.select_order(GRID3, "oracle", [1, 2], signal=g, noise_var=-1.0)
         with pytest.raises(pg.ConfigError):
             pg.select_order(GRID3, "bogus", [1, 2])
+
+    @pytest.mark.parametrize("mode", ["oracle", "penalized"])
+    @pytest.mark.parametrize("N,j_range", [(60, None), (240, None), (60, range(2, 9))])
+    def test_risk_curve_matches_per_order_builds(self, mode, N, j_range):
+        grid = pg.SampleGrid.uniform(N, 9.0 / N)
+        rng = np.random.default_rng(N)
+        g = np.exp(-0.3 * grid.points) * np.cos(2.0 * grid.points)
+        x = g + 0.2 * rng.laplace(size=N)
+        noise_var = 0.08
+        sel = pg.select_order(grid, mode, j_range, signal=pg.Sequence(g, grid),
+                              observed=pg.Sequence(x, grid), noise_var=noise_var)
+        data = g if mode == "oracle" else x
+        penalty = (1.0 if mode == "oracle" else 2.0) * noise_var / N
+        reference = []
+        for J in (j_range or range(1, N + 1)):
+            b = pg.build_basis(grid, J)
+            fit = (b.values @ data) / b.norms @ b.values
+            reference.append((J, float(np.sum((data - fit) ** 2) / N + penalty * J)))
+        assert [(j, r.hex()) for j, r in sel.risk_curve] == \
+            [(j, r.hex()) for j, r in reference]
+        assert sel.chosen == min(reference, key=lambda jr: (jr[1], jr[0]))[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("points,j_range", [
+        (np.arange(40) * 1e-30, range(1, 13)),   # norms underflow
+        (np.arange(500) * 9.0 / 500, None),      # values overflow at the top order
+    ])
+    def test_degenerate_top_order_raises(self, points, j_range):
+        grid = pg.SampleGrid(points)
+        x = pg.Sequence(np.ones(grid.count), grid)
+        with pytest.raises(pg.DegenerateGridError):
+            pg.select_order(grid, "penalized", j_range, observed=x, noise_var=1.0)
+
+    @pytest.mark.parametrize("j_range", [[2, 1, 3], [1, 2, 2], [1, 2.5], [1.0, 2.0]])
+    def test_malformed_order_range(self, j_range):
+        # rejected before any basis is built, so the degenerate grid never raises
+        grid = pg.SampleGrid(np.arange(40) * 1e-30)
+        x = pg.Sequence(np.ones(40), grid)
+        with pytest.raises(pg.ConfigError) as exc:
+            pg.select_order(grid, "penalized", j_range, observed=x, noise_var=1.0)
+        assert not isinstance(exc.value, pg.OrderRangeError)
