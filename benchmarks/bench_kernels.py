@@ -1,11 +1,6 @@
-"""Compare the numba and numpy kernel backends.
+"""Time the two numeric kernels in isolation (best of five runs each).
 
-Run twice, once per backend:
-
-    python benchmarks/bench_kernels.py
-    POLYGAUSS_NUMBA=0 python benchmarks/bench_kernels.py
-
-The backend is fixed at import time, so a single process cannot time both.
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import time
@@ -22,14 +17,13 @@ def _timed(fn, args):
 
 
 def bench(label, fn, *args, repeats=5):
-    fn(*args)  # warm-up: triggers jit compilation on the numba path
+    fn(*args)  # warm-up
     best = min(_timed(fn, args) for _ in range(repeats))
     print(f"{label:<40} {best * 1e3:10.3f} ms")
 
 
 def main():
-    backend = "numba" if _kernels.NUMBA_ENABLED else "numpy"
-    print(f"backend: {backend}\n")
+    print(f"backend: numpy {np.__version__}\n")
 
     rng = np.random.default_rng(0)
     for R, M in ((64, 64), (500, 64), (2000, 128)):

@@ -1,7 +1,6 @@
 """Polynomial-projection preprocessing of noisy records and Gaussianity testing
 of the resulting approximation-error process."""
 
-from ._kernels import NUMBA_ENABLED
 from .errors import (
     ConfigError,
     DegenerateDataError,

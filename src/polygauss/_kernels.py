@@ -1,47 +1,38 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, in plain numpy.
 
-The backend is chosen once at import time.  Set ``POLYGAUSS_NUMBA=0`` in the
-environment to force the numpy fallback (useful on machines without a working
-numba install, and for the benchmark in ``benchmarks/bench_kernels.py``).
-Results of the two backends agree to floating-point roundoff but are not
-guaranteed bit-identical; a single run never mixes backends, so output
-determinism is unaffected.
+``triple_grid`` forms the frame-averaged triple products one row ``j`` at a
+time over the lower triangle ``k <= j`` only, so its temporaries are
+``(R, j+1)`` instead of ``(R, F, F)``.  The upper triangle is a mirror of the
+lower one (selection, no arithmetic), so both returned grids are exactly
+symmetric: numpy's SIMD complex multiply is not bitwise commutative, and
+computing ``(k, j)`` separately would differ from ``(j, k)`` in the last bits.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("POLYGAUSS_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "no", "off")
 
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def _triple_grid_numpy(X, F):
+def triple_grid(X, F):
     # X: (R, M) complex FFT frames; returns mean triple product and mean
     # squared magnitude on the F x F low-frequency grid, F = M//2 + 1.
     R, M = X.shape
-    Xl = X[:, :F]
-    idx = (np.arange(F)[:, None] + np.arange(F)[None, :]) % M
-    T = Xl[:, :, None] * Xl[:, None, :] * np.conj(X[:, idx])
     s3 = np.zeros((F, F), dtype=np.complex128)
     msq = np.zeros((F, F))
-    for r in range(R):  # fixed-order accumulation, matches the numba path
-        s3 += T[r]
-        msq += np.abs(T[r]) ** 2
+    for j in range(F):
+        # Row j covers k = 0..j.  Row 0 takes one spare column: numpy drops a
+        # length-1 axis and would then add the frames pairwise; with two or
+        # more columns the axis-0 sums add frames in order r = 0, 1, ..., R-1.
+        n = max(j, 1) + 1
+        k = np.arange(n)
+        T = X[:, j, None] * X[:, :n] * np.conj(X[:, (j + k) % M])
+        s3[j, : j + 1] = T.sum(axis=0)[: j + 1]
+        msq[j, : j + 1] = (np.abs(T) ** 2).sum(axis=0)[: j + 1]
+    lower = np.tri(F, dtype=bool)
+    s3 = np.where(lower, s3, s3.T)
+    msq = np.where(lower, msq, msq.T)
     return s3 / R, msq / R
 
 
-def _gram_recurrence_numpy(t, J):
+def gram_recurrence(t, J):
     N = t.shape[0]
     P = np.zeros((J, N))
     q = np.zeros(J)
@@ -60,58 +51,3 @@ def _gram_recurrence_numpy(t, J):
             P[j + 1] = (t - a[j]) * P[j]
         q[j + 1] = np.dot(P[j + 1], P[j + 1])
     return P, q, a, b
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _triple_grid_jit(X, F):
-        R, M = X.shape
-        s3 = np.zeros((F, F), dtype=np.complex128)
-        msq = np.zeros((F, F))
-        for r in range(R):
-            for j in range(F):
-                for k in range(F):
-                    T = X[r, j] * X[r, k] * np.conj(X[r, (j + k) % M])
-                    s3[j, k] += T
-                    msq[j, k] += T.real * T.real + T.imag * T.imag
-        return s3 / R, msq / R
-
-    @njit(cache=True)
-    def _gram_recurrence_jit(t, J):
-        N = t.shape[0]
-        P = np.zeros((J, N))
-        q = np.zeros(J)
-        a = np.zeros(J)
-        b = np.zeros(J)
-        for n in range(N):
-            P[0, n] = 1.0
-        q[0] = float(N)
-        for j in range(J - 1):
-            if q[j] <= 0.0:  # underflowed basis; caller rejects the zero norms
-                break
-            s = 0.0
-            for n in range(N):
-                s += t[n] * P[j, n] * P[j, n]
-            a[j] = s / q[j]
-            if j > 0:
-                b[j] = q[j] / q[j - 1]
-            for n in range(N):
-                P[j + 1, n] = (t[n] - a[j]) * P[j, n]
-                if j > 0:
-                    P[j + 1, n] -= b[j] * P[j - 1, n]
-            s = 0.0
-            for n in range(N):
-                s += P[j + 1, n] * P[j + 1, n]
-            q[j + 1] = s
-        return P, q, a, b
-
-    def triple_grid(X, F):
-        return _triple_grid_jit(np.ascontiguousarray(X), F)
-
-    def gram_recurrence(t, J):
-        return _gram_recurrence_jit(np.ascontiguousarray(t, dtype=np.float64), J)
-
-else:
-    triple_grid = _triple_grid_numpy
-    gram_recurrence = _gram_recurrence_numpy

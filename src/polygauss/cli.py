@@ -49,7 +49,7 @@ def _parse_columns(path: str, body, columns):
     """Cast the listed (column, type) fields of every row; malformed rows are a ConfigError."""
     try:
         return [np.array([cast(r[c]) for r in body]) for c, cast in columns]
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: malformed row ({exc})") from None
 
 
@@ -60,23 +60,26 @@ def read_table_csv(path: str):
     if not rows:
         raise ConfigError(f"{path}: empty file")
     header = rows[0].split(",")
+    if header not in (["index", "time", "value"], ["rep", "index", "value"]):
+        raise ConfigError(f"{path}: unrecognized header {header}")
     body = [row.split(",") for row in rows[1:]]
+    for i, row in enumerate(body, 1):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
     if header == ["index", "time", "value"]:
         times, values = _parse_columns(path, body, ((1, float), (2, float)))
         return "sequence", Sequence(values, SampleGrid(times))
-    if header == ["rep", "index", "value"]:
-        reps, idx, vals = _parse_columns(path, body, ((0, int), (1, int), (2, float)))
-        if not body or reps.min() < 0 or idx.min() < 0:
-            raise ConfigError(f"{path}: ensemble needs rows with non-negative rep and index")
-        n_rep, n_idx = int(reps.max()) + 1, int(idx.max()) + 1
-        # the size check bounds the bincount; the counts reject duplicated or missing cells
-        if (len(body) != n_rep * n_idx
-                or np.any(np.bincount(reps * n_idx + idx, minlength=len(body)) != 1)):
-            raise ConfigError(f"{path}: ensemble table is not a full rep x index grid")
-        table = np.empty((n_rep, n_idx))
-        table[reps, idx] = vals
-        return "ensemble", Ensemble(table)
-    raise ConfigError(f"{path}: unrecognized header {header}")
+    reps, idx, vals = _parse_columns(path, body, ((0, int), (1, int), (2, float)))
+    if not body or reps.min() < 0 or idx.min() < 0:
+        raise ConfigError(f"{path}: ensemble needs rows with non-negative rep and index")
+    n_rep, n_idx = int(reps.max()) + 1, int(idx.max()) + 1
+    # the size check bounds the bincount; the counts reject duplicated or missing cells
+    if (len(body) != n_rep * n_idx
+            or np.any(np.bincount(reps * n_idx + idx, minlength=len(body)) != 1)):
+        raise ConfigError(f"{path}: ensemble table is not a full rep x index grid")
+    table = np.empty((n_rep, n_idx))
+    table[reps, idx] = vals
+    return "ensemble", Ensemble(table)
 
 
 def _parse_component(text: str):
@@ -138,8 +141,6 @@ def cmd_test(args) -> int:
         ens = segment_record(data.values, args.fft_len)
     else:
         ens = data
-    if np.all(ens.values == ens.values.flat[0]):
-        raise DegenerateDataError("input has no variability")
     report = gaussianity_report(ens, fft_len=args.fft_len, bins=args.bins)
     os.makedirs(args.out_dir, exist_ok=True)
     doc = {

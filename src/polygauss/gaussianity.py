@@ -80,8 +80,8 @@ def principal_domain(fft_len: int) -> list[tuple[int, int]]:
 class BispectrumEstimate:
     fft_len: int
     frames: int
-    # Both grids are exactly symmetric: the lower triangle (k <= j) is computed,
-    # the upper triangle is its mirror.
+    # Both grids are exactly symmetric: the kernel computes the lower triangle
+    # (k <= j) and mirrors it onto the upper one.
     s3: np.ndarray          # (M/2+1, M/2+1) complex mean X_j X_k conj(X_{j+k})
     triple_msq: np.ndarray  # mean |X_j X_k conj(X_{j+k})|^2 on the same grid
 
@@ -156,28 +156,28 @@ def third_cumulant(ensemble: Ensemble, k1: int, k2: int) -> float:
     return float(prods.mean(axis=1).mean())
 
 
+def _bispectrum(X: np.ndarray) -> BispectrumEstimate:
+    R, M = X.shape
+    s3, msq = _kernels.triple_grid(X, M // 2 + 1)
+    return BispectrumEstimate(fft_len=M, frames=R, s3=s3, triple_msq=msq)
+
+
+def _power(X: np.ndarray) -> np.ndarray:
+    return np.mean(np.abs(X[:, : X.shape[1] // 2 + 1]) ** 2, axis=0)
+
+
 def bispectrum_direct(
     ensemble: Ensemble, fft_len: int, center_ensemble: bool = True
 ) -> BispectrumEstimate:
     """Frame-averaged triple-product bispectrum, one frame per record."""
-    X = _frames_fft(ensemble, fft_len, center_ensemble)
-    F = fft_len // 2 + 1
-    s3, msq = _kernels.triple_grid(X, F)
-    # numpy's SIMD complex multiply is not bitwise commutative (a*b != b*a in
-    # the last bits), so keep the computed k <= j half and mirror it upward.
-    lower = np.tri(F, dtype=bool)
-    s3 = np.where(lower, s3, s3.T)
-    msq = np.where(lower, msq, msq.T)
-    return BispectrumEstimate(fft_len=fft_len, frames=ensemble.replications,
-                              s3=s3, triple_msq=msq)
+    return _bispectrum(_frames_fft(ensemble, fft_len, center_ensemble))
 
 
 def power_spectrum(
     ensemble: Ensemble, fft_len: int, center_ensemble: bool = True
 ) -> np.ndarray:
     """Frame-averaged |X(j)|^2 on bins 0..M/2, same framing as the bispectrum."""
-    X = _frames_fft(ensemble, fft_len, center_ensemble)
-    return np.mean(np.abs(X[:, : fft_len // 2 + 1]) ** 2, axis=0)
+    return _power(_frames_fft(ensemble, fft_len, center_ensemble))
 
 
 def bicoherence(bisp: BispectrumEstimate, power: np.ndarray) -> BicoherenceGrid:
@@ -291,9 +291,8 @@ def gaussianity_report(
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
     if np.all(ensemble.values == ensemble.values.flat[0]):
         raise DegenerateDataError("ensemble is constant")
-    bisp = bispectrum_direct(ensemble, fft_len, center_ensemble)
-    power = power_spectrum(ensemble, fft_len, center_ensemble)
-    bicoh = bicoherence(bisp, power)
+    X = _frames_fft(ensemble, fft_len, center_ensemble)
+    bicoh = bicoherence(_bispectrum(X), _power(X))
     stat, dof, pfa = hinich_test(bicoh, ensemble.replications)
     kurt = excess_kurtosis(ensemble)
     hist = histogram(ensemble.values, bins)

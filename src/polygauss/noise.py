@@ -105,22 +105,17 @@ def draw_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
     return (rng.gamma(shape=k, scale=1.0, size=n) - k) / math.sqrt(k)
 
 
-def scale_to_snr(noise: np.ndarray, signal: Sequence, snr_db: float) -> np.ndarray:
-    """Scale unit-variance noise so mean signal power over noise variance hits ``snr_db``."""
-    g = signal.values
-    power = float(np.mean(g**2))
-    if power == 0.0:
-        raise UndefinedSnrError("SNR undefined for an all-zero signal")
-    sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
-    return np.asarray(noise, dtype=np.float64) * sigma
-
-
 def noise_sigma(signal: Sequence, snr_db: float) -> float:
     """Noise standard deviation implied by the signal power and target SNR."""
     power = float(np.mean(signal.values**2))
     if power == 0.0:
         raise UndefinedSnrError("SNR undefined for an all-zero signal")
     return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+
+
+def scale_to_snr(noise: np.ndarray, signal: Sequence, snr_db: float) -> np.ndarray:
+    """Scale unit-variance noise so mean signal power over noise variance hits ``snr_db``."""
+    return np.asarray(noise, dtype=np.float64) * noise_sigma(signal, snr_db)
 
 
 def make_observation(signal: Sequence, scaled_noise: np.ndarray) -> Sequence:

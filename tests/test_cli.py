@@ -143,6 +143,14 @@ class TestTestCommand:
         assert run("test", "--in", src, "--out-dir", str(tmp_path / "r")) == 0
 
 
+# well-formed apart from one extra field on the first data row, and large
+# enough (8 reps; 8 frames of 64) to pass the battery if that field is ignored
+_EXTRA_ENSEMBLE = "rep,index,value\n0,0,0.5,9\n" + "".join(
+    f"{r},{i},{np.sin(3 * r + i)}\n" for r in range(8) for i in range(4) if (r, i) != (0, 0))
+_EXTRA_SEQUENCE = "index,time,value\n0,0.0,0.5,9\n" + "".join(
+    f"{i},{0.1 * i!r},{np.sin(3 * i)}\n" for i in range(1, 512))
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize("text", [
         "rep,index,value\n0,0,1.0\n0,0,2.0\n0,1,3.0\n1,1,4.0\n",  # duplicate hides a hole
@@ -151,7 +159,10 @@ class TestMalformedCsv:
         "rep,index,value\n0,0,1.0\n0,1\n",                          # short row
         "rep,index,value\n",                                         # no rows
         "index,time,value\n0,0.0,1.0\n1,0.1\n",                     # short sequence row
-    ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence"])
+        _EXTRA_ENSEMBLE,                                             # extra ensemble field
+        _EXTRA_SEQUENCE,                                             # extra sequence field
+    ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence",
+            "extra_field", "extra_sequence_field"])
     def test_exit_config_without_traceback(self, tmp_path, capsys, text):
         src = tmp_path / "bad.csv"
         src.write_text(text)
