@@ -9,8 +9,15 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, PolygaussError
-from .experiment import ExperimentConfig, emit_report, run_experiment
+from .errors import ConfigError, PolygaussError
+from .experiment import (
+    ExperimentConfig,
+    _write_bicoherence_csv,
+    _write_histogram_csv,
+    emit_report,
+    run_experiment,
+    write_sequence_csv,
+)
 from .gaussianity import Ensemble, gaussianity_report, segment_record
 from .noise import NOISE_FAMILIES, SignalSpec
 from .ortho import (
@@ -33,53 +40,40 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def write_sequence_csv(path: str, seq: Sequence) -> None:
-    lines = ["index,time,value"]
-    for i, (t, v) in enumerate(zip(seq.grid.points, seq.values)):
-        lines.append(f"{i},{_fmt(t)},{_fmt(v)}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_columns(path: str, body, columns):
-    """Cast the listed (column, type) fields of every row; malformed rows are a ConfigError."""
-    try:
-        return [np.array([cast(r[c]) for r in body]) for c, cast in columns]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed row ({exc})") from None
-
-
 def read_table_csv(path: str):
     """Read a sequence or ensemble CSV; returns ('sequence', Sequence) or ('ensemble', Ensemble)."""
-    with open(path, newline="") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows:
+    try:
+        with open(path, newline="") as fh:
+            lines = [line for line in fh if not line.isspace()]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    if not lines:
         raise ConfigError(f"{path}: empty file")
-    header = rows[0].split(",")
+    header = lines[0].strip().split(",")
     if header not in (["index", "time", "value"], ["rep", "index", "value"]):
         raise ConfigError(f"{path}: unrecognized header {header}")
-    body = [row.split(",") for row in rows[1:]]
-    for i, row in enumerate(body, 1):
-        if len(row) != len(header):
-            raise ConfigError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-    if header == ["index", "time", "value"]:
-        times, values = _parse_columns(path, body, ((1, float), (2, float)))
-        return "sequence", Sequence(values, SampleGrid(times))
-    reps, idx, vals = _parse_columns(path, body, ((0, int), (1, int), (2, float)))
-    if not body or reps.min() < 0 or idx.min() < 0:
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no data rows")
+    dtype = [(name, np.float64 if name in ("time", "value") else np.int64) for name in header]
+    try:
+        # loadtxt rejects rows with a wrong field count or a field that is not a number
+        table = np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed row ({exc})") from None
+    if header[0] == "index":
+        # contiguous copies: matmul sums a strided field view in another order (last-bit changes)
+        return "sequence", Sequence(table["value"].copy(), SampleGrid(table["time"].copy()))
+    reps, idx = table["rep"], table["index"]
+    if reps.min() < 0 or idx.min() < 0:
         raise ConfigError(f"{path}: ensemble needs rows with non-negative rep and index")
     n_rep, n_idx = int(reps.max()) + 1, int(idx.max()) + 1
     # the size check bounds the bincount; the counts reject duplicated or missing cells
-    if (len(body) != n_rep * n_idx
-            or np.any(np.bincount(reps * n_idx + idx, minlength=len(body)) != 1)):
+    if (table.size != n_rep * n_idx
+            or np.any(np.bincount(reps * n_idx + idx, minlength=table.size) != 1)):
         raise ConfigError(f"{path}: ensemble table is not a full rep x index grid")
-    table = np.empty((n_rep, n_idx))
-    table[reps, idx] = vals
-    return "ensemble", Ensemble(table)
+    values = np.empty((n_rep, n_idx))
+    values[reps, idx] = table["value"]
+    return "ensemble", Ensemble(values)
 
 
 def _parse_component(text: str):
@@ -155,8 +149,6 @@ def cmd_test(args) -> int:
     with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    from .experiment import _write_bicoherence_csv, _write_histogram_csv
-
     _write_histogram_csv(os.path.join(args.out_dir, "histogram.csv"), report.histogram)
     _write_bicoherence_csv(os.path.join(args.out_dir, "bicoherence.csv"), report.bicoherence)
     print(f"S={report.statistic:.6g} dof={report.dof} "
@@ -258,9 +250,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except PolygaussError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -30,10 +30,13 @@ from .ortho import (
     OrderSelection,
     SampleGrid,
     Sequence,
+    _fit,
     build_basis,
-    projection_operator,
     select_order,
 )
+
+#: candidate approximation orders; the oracle risk picks one per study
+ORDER_RANGE = range(1, 4)
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,6 @@ class ExperimentConfig:
     replications: int
     seed: int
     gamma_shape: float = 9.0
-    order_mode: str = "oracle"
-    order_range: tuple = (1, 3)
-    fixed_order: int | None = None
     fft_len: int = 64
     bins: int = 20
 
@@ -59,9 +59,8 @@ class ExperimentConfig:
         for fam in self.families:
             if fam not in NOISE_FAMILIES:
                 raise ConfigError(f"unknown noise family {fam!r}")
-        lo, hi = self.order_range
-        if not 1 <= lo <= hi <= self.grid.count:
-            raise ConfigError("order range must satisfy 1 <= lo <= hi <= N")
+        if self.grid.count < ORDER_RANGE[-1]:
+            raise ConfigError(f"the grid needs at least {ORDER_RANGE[-1]} points")
 
     @classmethod
     def reference(cls, replications: int, seed: int, families=NOISE_FAMILIES,
@@ -113,16 +112,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if not (math.isfinite(sigma) and sigma > 0):
         raise DegenerateDataError("noise variance implied by the SNR is zero or non-finite")
 
-    selection = select_order(
-        grid,
-        config.order_mode,
-        range(config.order_range[0], config.order_range[1] + 1),
-        signal=g,
-        noise_var=sigma**2,
-        fixed_order=config.fixed_order,
-    )
+    selection = select_order(grid, "oracle", ORDER_RANGE, signal=g, noise_var=sigma**2)
     basis = build_basis(grid, selection.chosen)
-    op = projection_operator(basis)
 
     results = []
     for family in config.families:
@@ -131,9 +122,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         W = np.empty((config.replications, N))
         for r in range(config.replications):
             W[r] = draw_noise(spec, N, derive_stream(fam_seed, r)) * sigma
-        # coefficient-route projection applied record-wise: y = ((P x)/q) P
-        coeffs = (W + g.values) @ basis.values.T / basis.norms
-        E = coeffs @ basis.values - g.values
+        E = _fit(basis.values, basis.norms, W + g.values) - g.values
         try:
             inp = gaussianity_report(Ensemble(W, grid), config.fft_len, config.bins)
             out = gaussianity_report(Ensemble(E, grid), config.fft_len, config.bins)
@@ -148,20 +137,26 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_histogram_csv(path: str, hist) -> None:
-    lines = ["bin_left,bin_right,count"]
-    for i, count in enumerate(hist.counts):
-        lines.append(f"{_fmt(hist.edges[i])},{_fmt(hist.edges[i + 1])},{int(count)}")
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``header`` and the already formatted ``rows`` as newline-terminated lines."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
+def write_sequence_csv(path: str, seq: Sequence) -> None:
+    _write_csv(path, "index,time,value", (
+        f"{i},{_fmt(t)},{_fmt(v)}" for i, (t, v) in enumerate(zip(seq.grid.points, seq.values))))
+
+
+def _write_histogram_csv(path: str, hist) -> None:
+    edges = hist.edges
+    _write_csv(path, "bin_left,bin_right,count", (
+        f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(c)}" for i, c in enumerate(hist.counts)))
 
 
 def _write_bicoherence_csv(path: str, bicoh) -> None:
-    lines = ["j,k,bicoherence_sq"]
-    for (j, k), val in zip(bicoh.points, bicoh.values):
-        lines.append(f"{j},{k},{_fmt(val)}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, "j,k,bicoherence_sq", (
+        f"{j},{k},{_fmt(val)}" for (j, k), val in zip(bicoh.points, bicoh.values)))
 
 
 def emit_report(result: ExperimentResult, out_dir: str) -> list[str]:

@@ -50,7 +50,6 @@ class SignalSpec:
 class NoiseSpec:
     family: str
     gamma_shape: float = 9.0
-    snr_db: float | None = None  # None means leave at unit variance
 
     def __post_init__(self):
         if self.family not in NOISE_FAMILIES:

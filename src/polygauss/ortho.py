@@ -120,13 +120,16 @@ def projection_operator(basis: PolynomialBasis) -> ProjectionOperator:
     return ProjectionOperator(grid=basis.grid, order=basis.order, basis=basis, xi=H)
 
 
+def _fit(P: np.ndarray, q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Project each row of ``X`` onto the rows of ``P`` (squared norms ``q``): ((X P^T)/q) P."""
+    return (X @ P.T) / q @ P
+
+
 def transform(op: ProjectionOperator, x: Sequence) -> Sequence:
     """Project ``x`` onto the polynomial subspace via the O(NJ) coefficient route."""
     if x.grid.count != op.grid.count:
         raise DimensionError("sequence grid does not match operator grid")
-    P = op.basis.values
-    coeffs = (P @ x.values) / op.basis.norms
-    return Sequence(coeffs @ P, x.grid)
+    return Sequence(_fit(op.basis.values, op.basis.norms, x.values), x.grid)
 
 
 def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarray:
@@ -207,8 +210,7 @@ def select_order(
     full = build_basis(grid, orders[-1])
     curve = []
     for J in orders:
-        P, q = full.values[:J], full.norms[:J]
-        fit = (P @ data) / q @ P
+        fit = _fit(full.values[:J], full.norms[:J], data)
         risk = float(np.sum((data - fit) ** 2) / N + penalty * J)
         curve.append((J, risk))
     best = min(curve, key=lambda jr: (jr[1], jr[0]))

@@ -4,6 +4,9 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import polygauss as pg
 from polygauss.cli import main, read_table_csv, write_sequence_csv
@@ -161,15 +164,66 @@ class TestMalformedCsv:
         "index,time,value\n0,0.0,1.0\n1,0.1\n",                     # short sequence row
         _EXTRA_ENSEMBLE,                                             # extra ensemble field
         _EXTRA_SEQUENCE,                                             # extra sequence field
+        # each fills the grid's (0, 0) hole if the parser honours comments or quotes, or
+        # truncates a float to an integer rep, and the battery then passes
+        _EXTRA_ENSEMBLE.replace("0,0,0.5,9", "0,0,0.5#x"),
+        _EXTRA_ENSEMBLE.replace("0,0,0.5,9", '0,0,"0.5"'),
+        _EXTRA_ENSEMBLE.replace("0,0,0.5,9", "0.5,0,0.5"),
+        "rep,index,value\n  \n\t\r\n \n",                           # whitespace-only body
+        "index,time,value\n",                                       # no sequence rows
     ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence",
-            "extra_field", "extra_sequence_field"])
-    def test_exit_config_without_traceback(self, tmp_path, capsys, text):
+            "extra_field", "extra_sequence_field", "comment_char", "quoted_field",
+            "non_integer_rep", "whitespace_body", "no_sequence_rows"])
+    def test_exit_config_without_traceback(self, tmp_path, capsys, recwarn, text):
         src = tmp_path / "bad.csv"
         src.write_text(text)
         assert run("test", "--in", str(src), "--out-dir", str(tmp_path / "r")) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert str(src) in err
+        assert not recwarn.list  # e.g. loadtxt's "input contained no data"
+
+    def test_non_utf8_bytes(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"rep,index,value\n0,0,\xff\n")
+        assert run("test", "--in", str(src), "--out-dir", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(src) in err
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_FINITE),
+           st.data())
+    def test_ensemble_shuffled_crlf_blank_lines(self, tmp_path_factory, table, data):
+        R, N = table.shape
+        cells = data.draw(st.permutations([(r, n) for r in range(R) for n in range(N)]))
+        lines = ["rep,index,value"]
+        for r, n in cells:
+            lines += data.draw(st.lists(st.sampled_from(["", " ", "\t", " \t  "]), max_size=2))
+            lines.append(f"{r},{n},{float(table[r, n])!r}")
+        path = tmp_path_factory.mktemp("csv") / "ens.csv"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        kind, ens = read_table_csv(str(path))
+        assert kind == "ensemble"
+        assert ens.values.shape == table.shape
+        assert ens.values.tobytes() == table.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_FINITE, min_size=2, max_size=30, unique=True), st.data())
+    def test_sequence_written_by_writer(self, tmp_path_factory, times, data):
+        grid = pg.SampleGrid(np.sort(times))
+        values = data.draw(arrays(np.float64, grid.count, elements=_FINITE))
+        path = str(tmp_path_factory.mktemp("csv") / "seq.csv")
+        write_sequence_csv(path, pg.Sequence(values, grid))
+        kind, seq = read_table_csv(path)
+        assert kind == "sequence"
+        assert seq.values.tobytes() == values.tobytes()
+        assert seq.grid.points.tobytes() == grid.points.tobytes()
 
 
 class TestSimulate:
