@@ -61,6 +61,8 @@ def read_table_csv(path: str):
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed row ({exc})") from None
     if header[0] == "index":
+        if not np.array_equal(table["index"], np.arange(table.size)):
+            raise ConfigError(f"{path}: sequence index must run 0..N-1 in file order")
         # contiguous copies: matmul sums a strided field view in another order (last-bit changes)
         return "sequence", Sequence(table["value"].copy(), SampleGrid(table["time"].copy()))
     reps, idx = table["rep"], table["index"]
@@ -83,16 +85,22 @@ def _parse_component(text: str):
     return tuple(float(p) for p in parts)
 
 
+def _signal_spec(reference: bool, components) -> SignalSpec:
+    """The reference signal, or the ``--component`` list; never both."""
+    if reference and components:
+        raise ConfigError("--component cannot be combined with --paper or --paper-signal")
+    if reference:
+        return SignalSpec.reference()
+    return SignalSpec(tuple(_parse_component(c) for c in components))
+
+
 def cmd_gen_signal(args) -> int:
     if args.n < 2:
         raise ConfigError("--n must be at least 2")
     if args.dt <= 0:
         raise ConfigError("--dt must be positive")
     grid = SampleGrid.uniform(args.n, args.dt)
-    if args.paper_signal:
-        spec = SignalSpec.reference()
-    else:
-        spec = SignalSpec(tuple(_parse_component(c) for c in args.component))
+    spec = _signal_spec(args.paper_signal, args.component)
     from .noise import synth_signal
 
     write_sequence_csv(args.out, synth_signal(spec, grid))
@@ -159,27 +167,19 @@ def cmd_test(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seed is None:
         raise ConfigError("--seed is required; simulations never seed from the clock")
-    if args.paper:
-        families = tuple(args.noise) if args.noise else NOISE_FAMILIES
-        config = ExperimentConfig.reference(
-            replications=args.reps, seed=args.seed,
-            families=families, gamma_shape=args.gamma_shape,
-        )
-    else:
-        if not args.noise:
-            raise ConfigError("specify --noise families or use --paper")
-        config = ExperimentConfig(
-            grid=SampleGrid.uniform(args.n, args.dt),
-            signal=SignalSpec.reference() if args.paper_signal
-            else SignalSpec(tuple(_parse_component(c) for c in args.component)),
-            snr_db=args.snr_db,
-            families=tuple(args.noise),
-            replications=args.reps,
-            seed=args.seed,
-            gamma_shape=args.gamma_shape,
-            fft_len=args.fft_len,
-            bins=args.bins,
-        )
+    if not (args.paper or args.noise):
+        raise ConfigError("specify --noise families or use --paper")
+    config = ExperimentConfig(
+        grid=SampleGrid.uniform(args.n, args.dt),
+        signal=_signal_spec(args.paper or args.paper_signal, args.component),
+        snr_db=args.snr_db,
+        families=tuple(args.noise) if args.noise else NOISE_FAMILIES,
+        replications=args.reps,
+        seed=args.seed,
+        gamma_shape=args.gamma_shape,
+        fft_len=args.fft_len,
+        bins=args.bins,
+    )
     result = run_experiment(config)
     emit_report(result, args.out_dir)
     print(f"{'family':>10} {'J':>3} {'pfa_in':>10} {'K_in':>9} {'pfa_out':>10} {'K_out':>9}")
@@ -222,7 +222,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run the Monte Carlo study")
     p.add_argument("--paper", action="store_true",
-                   help="use the reference setup: N=60, dt=0.15, 10 dB, four families")
+                   help="use the reference signal and, unless --noise is given, all four "
+                        "families; the other flags keep their reference defaults")
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--dt", type=float, default=0.15)
     p.add_argument("--snr-db", type=float, default=10.0)

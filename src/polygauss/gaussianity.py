@@ -92,7 +92,7 @@ class BicoherenceGrid:
     frames: int
     points: tuple            # kept principal-domain pairs (j, k)
     values: np.ndarray       # squared bicoherence per kept point
-    normalizer: np.ndarray   # per-point variance normalizer (1 for the textbook form)
+    normalizer: np.ndarray   # per-point triple-product variance over P_j P_k P_{j+k}
     excluded: int            # principal-domain points dropped for dead denominators
 
 
@@ -133,7 +133,7 @@ def _frames_fft(ensemble: Ensemble, fft_len: int, center_ensemble: bool) -> np.n
             f"need at least {MIN_FRAMES} records, got {ensemble.replications}"
         )
     v = ensemble.values
-    if center_ensemble and ensemble.replications > 1:
+    if center_ensemble:
         # Remove the per-index ensemble mean: deterministic structure shared by
         # all records (e.g. residual fitting bias) is not randomness under test.
         v = v - v.mean(axis=0, keepdims=True)
@@ -286,12 +286,11 @@ def gaussianity_report(
     ensemble: Ensemble,
     fft_len: int = 64,
     bins: int = 20,
-    center_ensemble: bool = True,
 ) -> GaussianityReport:
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
     if np.all(ensemble.values == ensemble.values.flat[0]):
         raise DegenerateDataError("ensemble is constant")
-    X = _frames_fft(ensemble, fft_len, center_ensemble)
+    X = _frames_fft(ensemble, fft_len, center_ensemble=True)
     bicoh = bicoherence(_bispectrum(X), _power(X))
     stat, dof, pfa = hinich_test(bicoh, ensemble.replications)
     kurt = excess_kurtosis(ensemble)

@@ -12,7 +12,7 @@ y = P Q^-1 P^T x; the projector's entries are the error-mixing coefficients
 that relate the post-transform error process to the raw noise.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,9 @@ _Q_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Ordered sample abscissas; ``spacing`` is set for uniform grids t_n = n*T."""
+    """Ordered sample abscissas."""
 
     points: np.ndarray
-    spacing: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -44,10 +43,6 @@ class SampleGrid:
             raise ConfigError("grid points must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ConfigError("grid points must be strictly increasing")
-        if self.spacing is not None:
-            expect = np.arange(pts.size) * self.spacing
-            if not np.array_equal(pts, expect):
-                raise ConfigError("spacing does not match the stored points")
 
     @property
     def count(self) -> int:
@@ -59,7 +54,7 @@ class SampleGrid:
             raise ConfigError("uniform grid needs n >= 2")
         if dt <= 0:
             raise ConfigError("uniform grid needs dt > 0")
-        return cls(np.arange(n) * dt, spacing=dt)
+        return cls(np.arange(n) * dt)
 
 
 @dataclass(frozen=True)
@@ -92,10 +87,16 @@ class PolynomialBasis:
 
 @dataclass(frozen=True)
 class ProjectionOperator:
-    grid: SampleGrid
-    order: int
     basis: PolynomialBasis
-    xi: np.ndarray = field(repr=False)  # (N, N) symmetric idempotent matrix
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Dense (N, N) projector, entries sum_j p_j[n] p_j[m] / q_j, symmetrized exactly.
+
+        Built on each read; applying the projection goes through the O(NJ) ``transform``.
+        """
+        H = self.basis.values.T @ (self.basis.values / self.basis.norms[:, None])
+        return 0.5 * (H + H.T)
 
 
 def build_basis(grid: SampleGrid, order: int) -> PolynomialBasis:
@@ -113,11 +114,8 @@ def build_basis(grid: SampleGrid, order: int) -> PolynomialBasis:
 
 
 def projection_operator(basis: PolynomialBasis) -> ProjectionOperator:
-    """Dense projector with entries sum_j p_j[n] p_j[m] / q_j, symmetrized exactly."""
-    scaled = basis.values / basis.norms[:, None]
-    H = basis.values.T @ scaled
-    H = 0.5 * (H + H.T)
-    return ProjectionOperator(grid=basis.grid, order=basis.order, basis=basis, xi=H)
+    """The projector onto ``basis``; its dense matrix is ``op.xi``."""
+    return ProjectionOperator(basis)
 
 
 def _fit(P: np.ndarray, q: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -127,7 +125,7 @@ def _fit(P: np.ndarray, q: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def transform(op: ProjectionOperator, x: Sequence) -> Sequence:
     """Project ``x`` onto the polynomial subspace via the O(NJ) coefficient route."""
-    if x.grid.count != op.grid.count:
+    if x.grid.count != op.basis.grid.count:
         raise DimensionError("sequence grid does not match operator grid")
     return Sequence(_fit(op.basis.values, op.basis.norms, x.values), x.grid)
 
@@ -135,7 +133,7 @@ def transform(op: ProjectionOperator, x: Sequence) -> Sequence:
 def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarray:
     """Covariance H Sigma H^T of the post-transform error given the noise covariance."""
     S = np.asarray(noise_cov, dtype=np.float64)
-    N = op.grid.count
+    N = op.basis.grid.count
     if S.shape != (N, N):
         raise DimensionError(f"covariance must be {N}x{N}")
     if np.max(np.abs(S - S.T)) > 1e-9:
@@ -148,7 +146,6 @@ def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarra
 @dataclass(frozen=True)
 class OrderSelection:
     chosen: int
-    mode: str
     risk_curve: tuple  # ((J, risk), ...) in ascending J
 
 
@@ -160,14 +157,12 @@ def select_order(
     signal: Sequence | None = None,
     observed: Sequence | None = None,
     noise_var: float | None = None,
-    fixed_order: int | None = None,
 ) -> OrderSelection:
     """Pick the approximation order minimizing an error-variance risk.
 
     ``oracle`` needs the clean signal and the noise variance (simulation use);
     ``penalized`` needs the observed record and the noise variance and uses a
-    Cp-style unbiased surrogate; ``fixed`` passes ``fixed_order`` through.
-    Ties break toward the smaller order.
+    Cp-style unbiased surrogate.  Ties break toward the smaller order.
 
     ``j_range`` must hold distinct integer orders in ascending order.  The
     recurrence is prefix-nested (the first J rows of the order-K basis are the
@@ -175,13 +170,6 @@ def select_order(
     candidate fit uses its first J rows.
     """
     N = grid.count
-    if mode == "fixed":
-        if fixed_order is None:
-            raise ConfigError("fixed mode needs fixed_order")
-        if not 1 <= fixed_order <= N:
-            raise OrderRangeError(f"order {fixed_order} outside [1, {N}]")
-        return OrderSelection(fixed_order, "fixed", ((fixed_order, 0.0),))
-
     if mode not in ("oracle", "penalized"):
         raise ConfigError(f"unknown order-selection mode {mode!r}")
     if noise_var is None or noise_var < 0:
@@ -214,4 +202,4 @@ def select_order(
         risk = float(np.sum((data - fit) ** 2) / N + penalty * J)
         curve.append((J, risk))
     best = min(curve, key=lambda jr: (jr[1], jr[0]))
-    return OrderSelection(best[0], mode, tuple(curve))
+    return OrderSelection(best[0], tuple(curve))

@@ -40,6 +40,14 @@ class TestGenSignal:
         assert run("gen-signal", "--n", "4", "--dt", "1", "--bogus", "1",
                    "--out", str(tmp_path / "x.csv")) == 1
 
+    def test_component_with_paper_signal_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("gen-signal", "--paper-signal", "--component", "1,0,1,0",
+                   "--n", "60", "--dt", "0.15", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "--component" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTransform:
     def write_seq(self, tmp_path, values, dt=1.0):
@@ -154,6 +162,12 @@ _EXTRA_SEQUENCE = "index,time,value\n0,0.0,0.5,9\n" + "".join(
     f"{i},{0.1 * i!r},{np.sin(3 * i)}\n" for i in range(1, 512))
 
 
+def _indexed_sequence(index):
+    """512 rows (8 frames of 64) with strictly increasing time and the given index column."""
+    return "index,time,value\n" + "".join(
+        f"{k},{0.1 * i!r},{np.sin(3 * i)}\n" for i, k in enumerate(index))
+
+
 class TestMalformedCsv:
     @pytest.mark.parametrize("text", [
         "rep,index,value\n0,0,1.0\n0,0,2.0\n0,1,3.0\n1,1,4.0\n",  # duplicate hides a hole
@@ -171,9 +185,13 @@ class TestMalformedCsv:
         _EXTRA_ENSEMBLE.replace("0,0,0.5,9", "0.5,0,0.5"),
         "rep,index,value\n  \n\t\r\n \n",                           # whitespace-only body
         "index,time,value\n",                                       # no sequence rows
+        _indexed_sequence([0, 0, *range(2, 512)]),                  # duplicated index
+        _indexed_sequence([*range(511), 512]),                      # skipped index
+        _indexed_sequence([0, 2, 1, *range(3, 512)]),               # out-of-order indices
     ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence",
             "extra_field", "extra_sequence_field", "comment_char", "quoted_field",
-            "non_integer_rep", "whitespace_body", "no_sequence_rows"])
+            "non_integer_rep", "whitespace_body", "no_sequence_rows", "duplicate_index",
+            "skipped_index", "unordered_index"])
     def test_exit_config_without_traceback(self, tmp_path, capsys, recwarn, text):
         src = tmp_path / "bad.csv"
         src.write_text(text)
@@ -245,6 +263,19 @@ class TestSimulate:
         for name in sorted(os.listdir(d1)):
             assert open(os.path.join(d1, name), "rb").read() == \
                 open(os.path.join(d2, name), "rb").read()
+
+    def test_paper_honours_setup_flags(self, tmp_path):
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--noise", "gaussian", "--reps", "16",
+                   "--seed", "1", "--fft-len", "128", "--out-dir", str(out_dir)) == 0
+        (fam,) = json.loads((out_dir / "summary.json").read_text())
+        assert fam["M"] == 128
+
+    def test_paper_with_component_rejected(self, tmp_path, capsys):
+        assert run("simulate", "--paper", "--component", "1,0,1,0", "--noise", "gaussian",
+                   "--reps", "16", "--seed", "1", "--out-dir", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "--component" in err and "Traceback" not in err
 
     def test_summary_table_printed(self, tmp_path, capsys):
         assert run("simulate", "--paper", "--reps", "32", "--seed", "7",

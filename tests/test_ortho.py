@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -175,6 +177,18 @@ class TestTransform:
             y = pg.transform(op, pg.Sequence(x, grid))
             npt.assert_allclose(y.values, op.xi @ x, atol=1e-12)
 
+    def test_low_order_never_forms_dense_projector(self):
+        N = 2000
+        grid = pg.SampleGrid.uniform(N, 0.01)
+        x = pg.Sequence(np.random.default_rng(5).standard_normal(N), grid)
+        tracemalloc.start()
+        try:
+            pg.transform(pg.projection_operator(pg.build_basis(grid, 3)), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < N * N * 8 / 10  # one dense N x N float64 matrix is N*N*8 bytes
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1, 1), min_size=5, max_size=5))
     def test_polynomial_reproduction(self, alphas):
@@ -260,12 +274,6 @@ class TestSelectOrder:
         risks = [r for _, r in sel.risk_curve]
         npt.assert_allclose(risks, [29 / 9, 8 / 9, 1.0], atol=1e-12)
         assert sel.chosen == 2
-
-    def test_fixed_passthrough(self):
-        grid = pg.SampleGrid.uniform(10, 1.0)
-        sel = pg.select_order(grid, "fixed", fixed_order=5)
-        assert sel.chosen == 5
-        assert len(sel.risk_curve) == 1
 
     def test_penalized_prefers_true_degree(self):
         grid = pg.SampleGrid.uniform(50, 0.1)
