@@ -5,12 +5,16 @@ data, 3 I/O failure.
 """
 
 import argparse
+import json
+import os
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, PolygaussError
 from .experiment import (
+    REFERENCE_DT,
+    REFERENCE_N,
     ExperimentConfig,
     _write_bicoherence_csv,
     _write_histogram_csv,
@@ -19,7 +23,7 @@ from .experiment import (
     write_sequence_csv,
 )
 from .gaussianity import Ensemble, gaussianity_report, segment_record
-from .noise import NOISE_FAMILIES, SignalSpec
+from .noise import NOISE_FAMILIES, SignalSpec, synth_signal
 from .ortho import (
     SampleGrid,
     Sequence,
@@ -78,31 +82,24 @@ def read_table_csv(path: str):
     return "ensemble", Ensemble(values)
 
 
-def _parse_component(text: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ConfigError("component must be amplitude,damping,omega,phase")
-    return tuple(float(p) for p in parts)
+def _component(text: str) -> tuple:
+    try:
+        amp, damp, omega, phase = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected AMP,DAMP,OMEGA,PHASE, got {text!r}") from None
+    return amp, damp, omega, phase
 
 
 def _signal_spec(reference: bool, components) -> SignalSpec:
     """The reference signal, or the ``--component`` list; never both."""
     if reference and components:
         raise ConfigError("--component cannot be combined with --paper or --paper-signal")
-    if reference:
-        return SignalSpec.reference()
-    return SignalSpec(tuple(_parse_component(c) for c in components))
+    return SignalSpec.reference() if reference else SignalSpec(tuple(components))
 
 
 def cmd_gen_signal(args) -> int:
-    if args.n < 2:
-        raise ConfigError("--n must be at least 2")
-    if args.dt <= 0:
-        raise ConfigError("--dt must be positive")
     grid = SampleGrid.uniform(args.n, args.dt)
     spec = _signal_spec(args.paper_signal, args.component)
-    from .noise import synth_signal
-
     write_sequence_csv(args.out, synth_signal(spec, grid))
     return 0
 
@@ -127,17 +124,12 @@ def cmd_transform(args) -> int:
             order = int(args.order)
         except ValueError:
             raise ConfigError(f"--order must be an integer or 'auto', got {args.order!r}")
-        if not 1 <= order <= grid.count:
-            raise ConfigError(f"--order must be in [1, {grid.count}]")
     op = projection_operator(build_basis(grid, order))
     write_sequence_csv(args.out, transform(op, seq))
     return 0
 
 
 def cmd_test(args) -> int:
-    import json
-    import os
-
     kind, data = read_table_csv(args.infile)
     if kind == "sequence":
         ens = segment_record(data.values, args.fft_len)
@@ -165,22 +157,17 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.seed is None:
-        raise ConfigError("--seed is required; simulations never seed from the clock")
-    if not (args.paper or args.noise):
-        raise ConfigError("specify --noise families or use --paper")
-    config = ExperimentConfig(
-        grid=SampleGrid.uniform(args.n, args.dt),
-        signal=_signal_spec(args.paper or args.paper_signal, args.component),
-        snr_db=args.snr_db,
-        families=tuple(args.noise) if args.noise else NOISE_FAMILIES,
+    result = run_experiment(ExperimentConfig(
         replications=args.reps,
         seed=args.seed,
+        grid=SampleGrid.uniform(args.n, args.dt),
+        signal=_signal_spec(args.paper, args.component),
+        snr_db=args.snr_db,
+        families=args.noise,
         gamma_shape=args.gamma_shape,
         fft_len=args.fft_len,
         bins=args.bins,
-    )
-    result = run_experiment(config)
+    ))
     emit_report(result, args.out_dir)
     print(f"{'family':>10} {'J':>3} {'pfa_in':>10} {'K_in':>9} {'pfa_out':>10} {'K_out':>9}")
     for fam in result.families:
@@ -201,7 +188,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output sequence CSV")
     p.add_argument("--paper-signal", action="store_true",
                    help="use the built-in three-component reference signal")
-    p.add_argument("--component", action="append", default=[],
+    p.add_argument("--component", action="append", default=[], type=_component,
                    metavar="AMP,DAMP,OMEGA,PHASE", help="add a signal component")
     p.set_defaults(func=cmd_gen_signal)
 
@@ -215,27 +202,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("test", help="run the Gaussianity battery on a sequence or ensemble")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--fft-len", type=int, default=64)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--fft-len", type=int, default=ExperimentConfig.fft_len)
+    p.add_argument("--bins", type=int, default=ExperimentConfig.bins)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo study")
-    p.add_argument("--paper", action="store_true",
-                   help="use the reference signal and, unless --noise is given, all four "
-                        "families; the other flags keep their reference defaults")
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--dt", type=float, default=0.15)
-    p.add_argument("--snr-db", type=float, default=10.0)
-    p.add_argument("--paper-signal", action="store_true")
-    p.add_argument("--component", action="append", default=[],
+    p.add_argument("--paper", "--paper-signal", action="store_true",
+                   help="use the reference signal; the other flags default to the reference study")
+    p.add_argument("--n", type=int, default=REFERENCE_N)
+    p.add_argument("--dt", type=float, default=REFERENCE_DT)
+    p.add_argument("--snr-db", type=float, default=ExperimentConfig.snr_db)
+    p.add_argument("--component", action="append", default=[], type=_component,
                    metavar="AMP,DAMP,OMEGA,PHASE")
     p.add_argument("--reps", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--noise", nargs="+", choices=NOISE_FAMILIES, default=None)
-    p.add_argument("--gamma-shape", type=float, default=9.0)
-    p.add_argument("--fft-len", type=int, default=64)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--seed", type=int, required=True,
+                   help="master seed; simulations never seed from the clock")
+    p.add_argument("--noise", nargs="+", choices=NOISE_FAMILIES,
+                   default=ExperimentConfig.families)
+    p.add_argument("--gamma-shape", type=float, default=ExperimentConfig.gamma_shape)
+    p.add_argument("--fft-len", type=int, default=ExperimentConfig.fft_len)
+    p.add_argument("--bins", type=int, default=ExperimentConfig.bins)
     p.add_argument("--threads", type=int, default=1,
                    help="currently ignored; accepted for compatibility")
     p.add_argument("--out-dir", required=True)

@@ -15,8 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
-from .gaussianity import Ensemble, GaussianityReport, gaussianity_report
+from .errors import ConfigError, DegenerateDataError, PolygaussError
+from .gaussianity import (
+    REFERENCE_BINS,
+    REFERENCE_FFT_LEN,
+    Ensemble,
+    GaussianityReport,
+    gaussianity_report,
+)
 from .noise import (
     NOISE_FAMILIES,
     NoiseSpec,
@@ -37,44 +43,39 @@ from .ortho import (
 
 #: candidate approximation orders; the oracle risk picks one per study
 ORDER_RANGE = range(1, 4)
+#: record length N and sample spacing T of the reference study
+REFERENCE_N, REFERENCE_DT = 60, 0.15
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    grid: SampleGrid
-    signal: SignalSpec
-    snr_db: float
-    families: tuple
+    """One Monte Carlo study; every setup field defaults to the reference study."""
+
     replications: int
     seed: int
-    gamma_shape: float = 9.0
-    fft_len: int = 64
-    bins: int = 20
+    grid: SampleGrid = field(default_factory=lambda: SampleGrid.uniform(REFERENCE_N, REFERENCE_DT))
+    signal: SignalSpec = field(default_factory=SignalSpec.reference)
+    snr_db: float = 10.0
+    families: tuple = NOISE_FAMILIES
+    gamma_shape: float = NoiseSpec.gamma_shape
+    fft_len: int = REFERENCE_FFT_LEN
+    bins: int = REFERENCE_BINS
 
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if not self.families:
             raise ConfigError("at least one noise family is required")
-        for fam in self.families:
-            if fam not in NOISE_FAMILIES:
-                raise ConfigError(f"unknown noise family {fam!r}")
+        object.__setattr__(self, "families", tuple(self.families))
+        for fam in self.families:  # rejects unknown families and bad shapes before any draw
+            NoiseSpec(fam, self.gamma_shape)
         if self.grid.count < ORDER_RANGE[-1]:
             raise ConfigError(f"the grid needs at least {ORDER_RANGE[-1]} points")
 
     @classmethod
-    def reference(cls, replications: int, seed: int, families=NOISE_FAMILIES,
-                  gamma_shape: float = 9.0) -> "ExperimentConfig":
-        """The canonical study setup: N=60, T=0.15, 10 dB SNR, all four families."""
-        return cls(
-            grid=SampleGrid.uniform(60, 0.15),
-            signal=SignalSpec.reference(),
-            snr_db=10.0,
-            families=tuple(families),
-            replications=replications,
-            seed=seed,
-            gamma_shape=gamma_shape,
-        )
+    def reference(cls, replications: int, seed: int, **setup) -> "ExperimentConfig":
+        """The reference study, with any ``setup`` field overridden; same as the constructor."""
+        return cls(replications, seed, **setup)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         try:
             inp = gaussianity_report(Ensemble(W, grid), config.fft_len, config.bins)
             out = gaussianity_report(Ensemble(E, grid), config.fft_len, config.bins)
-        except Exception as exc:
+        except PolygaussError as exc:
             raise type(exc)(f"family {family!r}: {exc}") from exc
         results.append(FamilyResult(family=family, selection=selection,
                                     input_report=inp, output_report=out))

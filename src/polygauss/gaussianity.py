@@ -31,6 +31,8 @@ from .ortho import SampleGrid
 
 EPS_FLOOR = 1e-30
 MIN_FRAMES = 8
+#: DFT length M and histogram bin count of the reference study
+REFERENCE_FFT_LEN, REFERENCE_BINS = 64, 20
 
 
 @dataclass(frozen=True)
@@ -284,8 +286,8 @@ def histogram(values, bins: int, value_range: tuple[float, float] | None = None)
 
 def gaussianity_report(
     ensemble: Ensemble,
-    fft_len: int = 64,
-    bins: int = 20,
+    fft_len: int = REFERENCE_FFT_LEN,
+    bins: int = REFERENCE_BINS,
 ) -> GaussianityReport:
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
     if np.all(ensemble.values == ensemble.values.flat[0]):

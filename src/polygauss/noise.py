@@ -55,8 +55,8 @@ class NoiseSpec:
         if self.family not in NOISE_FAMILIES:
             raise ConfigError(f"unknown noise family {self.family!r}; "
                               f"expected one of {NOISE_FAMILIES}")
-        if self.gamma_shape <= 0:
-            raise ConfigError("gamma shape must be positive")
+        if not 0 < self.gamma_shape < math.inf:
+            raise ConfigError(f"gamma shape must be positive and finite, got {self.gamma_shape}")
 
 
 @dataclass(frozen=True)

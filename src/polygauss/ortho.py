@@ -172,8 +172,8 @@ def select_order(
     N = grid.count
     if mode not in ("oracle", "penalized"):
         raise ConfigError(f"unknown order-selection mode {mode!r}")
-    if noise_var is None or noise_var < 0:
-        raise ConfigError("oracle/penalized modes need noise_var >= 0")
+    if noise_var is None or not 0 <= noise_var < np.inf:
+        raise ConfigError("oracle/penalized modes need a finite noise_var >= 0")
     orders = list(j_range) if j_range is not None else list(range(1, N + 1))
     if not orders:
         raise ConfigError("empty order range")

@@ -4,12 +4,13 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import polygauss as pg
 from polygauss.cli import main, read_table_csv, write_sequence_csv
+from polygauss.experiment import _write_bicoherence_csv, _write_histogram_csv
 
 
 def run(*argv):
@@ -48,6 +49,15 @@ class TestGenSignal:
         assert "--component" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("component", ["a,b,c,d", "1,2,3", "1,2,3,4,5"])
+    def test_malformed_component(self, tmp_path, capsys, component):
+        out = tmp_path / "x.csv"
+        assert run("gen-signal", "--component", component, "--n", "10", "--dt", "1",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "--component" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTransform:
     def write_seq(self, tmp_path, values, dt=1.0):
@@ -80,6 +90,16 @@ class TestTransform:
         src = self.write_seq(tmp_path, [1.0, 2.0, 3.0])
         assert run("transform", "--in", src, "--order", "auto",
                    "--out", str(tmp_path / "out.csv")) == 1
+
+    @pytest.mark.parametrize("sigma2", ["nan", "inf"])
+    def test_auto_non_finite_sigma2_rejected(self, tmp_path, capsys, sigma2):
+        src = self.write_seq(tmp_path, [1.0, 2.0, 4.0, 3.0])
+        out = tmp_path / "out.csv"
+        assert run("transform", "--in", src, "--order", "auto", "--sigma2", sigma2,
+                   "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert "noise_var" in captured.err and "risk curve" not in captured.out
+        assert not out.exists()
 
     def test_auto_selects_and_prints(self, tmp_path, capsys):
         grid = pg.SampleGrid.uniform(40, 0.1)
@@ -146,6 +166,21 @@ class TestTestCommand:
         doc = json.loads((out_dir / "report.json").read_text())
         assert doc["pfa"] < 0.01
 
+    def test_defaults_match_library_report(self, tmp_path):
+        table = np.random.default_rng(6).standard_normal((32, 60))
+        src = self.write_ensemble(tmp_path, table)
+        out_dir = tmp_path / "rep"
+        assert run("test", "--in", src, "--out-dir", str(out_dir)) == 0
+        rep = pg.gaussianity_report(pg.Ensemble(table))
+        doc = {"S": rep.statistic, "dof": rep.dof, "pfa": rep.pfa, "kurtosis": rep.avg_kurtosis,
+               "M": rep.fft_len, "K": rep.frames, "R": rep.replications}
+        assert (out_dir / "report.json").read_text() == json.dumps(doc, indent=2,
+                                                                   sort_keys=True) + "\n"
+        _write_histogram_csv(str(tmp_path / "histogram.csv"), rep.histogram)
+        _write_bicoherence_csv(str(tmp_path / "bicoherence.csv"), rep.bicoherence)
+        for name in ("histogram.csv", "bicoherence.csv"):
+            assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_long_sequence_segmented(self, tmp_path):
         grid = pg.SampleGrid.uniform(1024, 1.0)
         vals = np.random.default_rng(5).standard_normal(1024)
@@ -211,6 +246,56 @@ class TestMalformedCsv:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# one CSV field's worth of text: no separator, no line break, encodable as UTF-8
+_JUNK = st.text(st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)),
+                max_size=6)
+
+
+@st.composite
+def _malformed_csv(draw):
+    """A well-formed sequence or ensemble CSV with one mutation that no reader may accept."""
+    if draw(st.booleans()):
+        header = "rep,index,value"
+        R, N = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        rows = [f"{r},{i},{draw(_FINITE)!r}" for r in range(R) for i in range(N)]
+    else:
+        header = "index,time,value"
+        rows = [f"{i},{0.5 * i!r},{draw(_FINITE)!r}" for i in range(draw(st.integers(2, 8)))]
+    mutation = draw(st.sampled_from(["drop_field", "extra_field", "junk_field",
+                                     "duplicate_row", "bad_header", "no_rows", "not_utf8"]))
+    k, column, junk = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 2)), draw(_JUNK)
+    fields = rows[k].split(",")
+    if mutation == "drop_field":
+        del fields[column]
+    elif mutation == "extra_field":
+        fields.insert(column, junk)
+    elif mutation == "junk_field":
+        fields[column] = junk + "x"  # no integer or float ends in "x"
+    rows[k] = ",".join(fields)
+    if mutation == "duplicate_row":
+        rows.insert(k, rows[k])
+    elif mutation == "bad_header":
+        header = f"{header},{junk}"
+    elif mutation == "no_rows":
+        rows = []
+    data = ("\n".join([header, *rows]) + "\n").encode()
+    if mutation == "not_utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestFuzzedCsv:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_malformed_csv())
+    def test_malformed_exits_cleanly(self, tmp_path_factory, capsys, recwarn, data):
+        work = tmp_path_factory.mktemp("fuzz")
+        src = work / "bad.csv"
+        src.write_bytes(data)
+        assert run("test", "--in", str(src), "--out-dir", str(work / "r")) in (1, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert not recwarn.list
 
 
 class TestCsvRoundTrip:
@@ -282,3 +367,28 @@ class TestSimulate:
                    "--noise", "laplacian", "--out-dir", str(tmp_path / "o")) == 0
         out = capsys.readouterr().out
         assert "laplacian" in out and "pfa_out" in out
+
+    def test_paper_defaults_match_reference_config(self, tmp_path):
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        assert run("simulate", "--paper", "--reps", "16", "--seed", "1",
+                   "--out-dir", str(cli_dir)) == 0
+        pg.emit_report(pg.run_experiment(pg.ExperimentConfig.reference(16, 1)), str(lib_dir))
+        names = sorted(os.listdir(lib_dir))
+        assert sorted(os.listdir(cli_dir)) == names and "summary.json" in names
+        for name in names:
+            assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("shape", ["-1", "nan", "inf"])
+    def test_bad_gamma_shape_rejected_before_draws(self, tmp_path, capsys, shape):
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--noise", "gaussian", "--gamma-shape", shape,
+                   "--reps", "16", "--seed", "1", "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert "gamma shape" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_malformed_component(self, tmp_path, capsys):
+        assert run("simulate", "--component", "a,b,c,d", "--reps", "16", "--seed", "1",
+                   "--out-dir", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert "--component" in err and "Traceback" not in err

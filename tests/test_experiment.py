@@ -100,6 +100,30 @@ class TestRunExperiment:
             pg.ExperimentConfig.reference(replications=10, seed=1, families=())
         with pytest.raises(pg.ConfigError):
             pg.ExperimentConfig.reference(replications=10, seed=1, families=("weird",))
+        # every family's spec is checked, so a bad shape fails even without "gamma"
+        for shape in (-1.0, np.nan, np.inf):
+            with pytest.raises(pg.ConfigError):
+                pg.ExperimentConfig.reference(replications=10, seed=1, families=("gaussian",),
+                                              gamma_shape=shape)
+
+    def test_foreign_exception_propagates_unchanged(self, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, message, detail):
+                super().__init__(message, detail)
+
+        raised = TwoArgError("out of memory", 42)
+
+        def fail(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(pg.experiment, "gaussianity_report", fail)
+        with pytest.raises(TwoArgError) as info:
+            pg.run_experiment(small_config(reps=16))
+        assert info.value is raised
+
+    def test_package_error_names_family(self):
+        with pytest.raises(pg.InsufficientFramesError, match="family 'gaussian'"):
+            pg.run_experiment(small_config(reps=1))
 
 
 class TestEmitReport:

@@ -73,8 +73,9 @@ class TestDrawNoise:
             pg.NoiseSpec("cauchy")
 
     def test_invalid_gamma_shape(self):
-        with pytest.raises(pg.ConfigError):
-            pg.NoiseSpec("gamma", gamma_shape=0.0)
+        for shape in (0.0, math.nan, math.inf):
+            with pytest.raises(pg.ConfigError):
+                pg.NoiseSpec("gamma", gamma_shape=shape)
 
     def test_need_one_draw(self):
         with pytest.raises(pg.ConfigError):

@@ -289,6 +289,9 @@ class TestSelectOrder:
             pg.select_order(GRID3, "oracle", [], signal=g, noise_var=1.0)
         with pytest.raises(pg.ConfigError):
             pg.select_order(GRID3, "oracle", [1, 2], signal=g, noise_var=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(pg.ConfigError):
+                pg.select_order(GRID3, "penalized", [1, 2], observed=g, noise_var=bad)
         with pytest.raises(pg.ConfigError):
             pg.select_order(GRID3, "bogus", [1, 2])
 
