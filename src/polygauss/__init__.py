@@ -45,6 +45,7 @@ from .noise import (
     RngStream,
     SignalSpec,
     draw_noise,
+    draw_noise_ensemble,
     make_observation,
     noise_sigma,
     scale_to_snr,

@@ -58,6 +58,10 @@ def read_table_csv(path: str):
         raise ConfigError(f"{path}: unrecognized header {header}")
     if len(lines) == 1:
         raise ConfigError(f"{path}: no data rows")
+    # numpy 2.4's loadtxt can crash the process on an integer field of astral-plane
+    # characters, so non-ASCII text never reaches it
+    if not all(map(str.isascii, lines)):
+        raise ConfigError(f"{path}: non-ASCII character; the CSV must be ASCII text")
     dtype = [(name, np.float64 if name in ("time", "value") else np.int64) for name in header]
     try:
         # loadtxt rejects rows with a wrong field count or a field that is not a number

@@ -21,6 +21,7 @@ from .gaussianity import (
     REFERENCE_FFT_LEN,
     Ensemble,
     GaussianityReport,
+    _validate_fft_len,
     gaussianity_report,
 )
 from .noise import (
@@ -28,7 +29,7 @@ from .noise import (
     NoiseSpec,
     RngStream,
     SignalSpec,
-    draw_noise,
+    draw_noise_ensemble,
     noise_sigma,
     synth_signal,
 )
@@ -71,6 +72,16 @@ class ExperimentConfig:
             NoiseSpec(fam, self.gamma_shape)
         if self.grid.count < ORDER_RANGE[-1]:
             raise ConfigError(f"the grid needs at least {ORDER_RANGE[-1]} points")
+        # an SNR of +-inf is a setting whose zero or infinite noise run_experiment rejects
+        # as degenerate data; nan is no setting at all
+        if math.isnan(self.snr_db):
+            raise ConfigError("the SNR in dB must be a number, got nan")
+        _validate_fft_len(self.fft_len)
+        if self.grid.count > self.fft_len:
+            raise ConfigError(f"records of {self.grid.count} points are longer than "
+                              f"the FFT length {self.fft_len}")
+        if self.bins < 1:
+            raise ConfigError("need at least one histogram bin")
 
     @classmethod
     def reference(cls, replications: int, seed: int, **setup) -> "ExperimentConfig":
@@ -120,9 +131,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for family in config.families:
         spec = NoiseSpec(family=family, gamma_shape=config.gamma_shape)
         fam_seed = _family_seed(config.seed, family)
-        W = np.empty((config.replications, N))
-        for r in range(config.replications):
-            W[r] = draw_noise(spec, N, derive_stream(fam_seed, r)) * sigma
+        W = draw_noise_ensemble(spec, config.replications, N, fam_seed) * sigma
         E = _fit(basis.values, basis.norms, W + g.values) - g.values
         try:
             inp = gaussianity_report(Ensemble(W, grid), config.fft_len, config.bins)

@@ -87,11 +87,7 @@ def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
     return Sequence(g, grid)
 
 
-def draw_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
-    """``n`` independent draws with exactly zero mean and unit variance by construction."""
-    if n < 1:
-        raise ConfigError("need at least one draw")
-    rng = stream.generator()
+def _draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     if spec.family == "gaussian":
         return rng.standard_normal(n)
     if spec.family == "laplacian":
@@ -102,6 +98,96 @@ def draw_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
     # gamma: unit scale, exact-mean shift, variance k -> divide by sqrt(k)
     k = spec.gamma_shape
     return (rng.gamma(shape=k, scale=1.0, size=n) - k) / math.sqrt(k)
+
+
+def draw_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
+    """``n`` independent draws with exactly zero mean and unit variance by construction."""
+    if n < 1:
+        raise ConfigError("need at least one draw")
+    return _draw(spec, n, stream.generator())
+
+
+# numpy.random.SeedSequence hashing constants (numpy/random/bit_generator.pyx);
+# NEP 19 keeps SeedSequence and PCG64 stream-stable across numpy releases.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_steps(const: int, mult: int):
+    """SeedSequence's hash constants: the (xor, multiply) pair of each successive step."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    xor, mul = next(steps)
+    value = (value ^ xor) * mul  # uint32 array products wrap modulo 2**32
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seed: int, count: int) -> list:
+    """``(state, inc)`` of ``default_rng((seed, r)).bit_generator`` for every ``r < count``.
+
+    ``SeedSequence`` hashes the entropy ``(seed, r)`` with constants that do not
+    depend on the data, so its uint32 pool is computed for every index at once.
+    The 128-bit PCG64 seeding step then runs in Python ints.
+    """
+    if count - 1 > _MASK32:
+        raise ConfigError("stream indices must fit one 32-bit word")
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(count, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashmix(e, steps) for e in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * _hashmix(pool[src], steps))
+                pool[dst] = mixed ^ (mixed >> 16)
+
+    # generate_state(4, np.uint64): eight words cycled from the pool, paired little-endian
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    out = [_hashmix(pool[i % _POOL_SIZE], steps).astype(np.uint64) for i in range(8)]
+    s_hi, s_lo, i_hi, i_lo = (out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4))
+
+    # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps around adding initstate
+    pairs = []
+    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
+        inc = ((ih << 64 | il) << 1 | 1) & _MASK128
+        pairs.append((((inc + (sh << 64 | sl)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return pairs
+
+
+def draw_noise_ensemble(spec: NoiseSpec, replications: int, n: int, seed: int) -> np.ndarray:
+    """``(replications, n)`` draws; row ``r`` equals ``draw_noise(spec, n, RngStream(seed, r))``.
+
+    The rows come bit for bit from the streams ``default_rng((seed, r))``, but
+    one generator is reused and loaded with each stream's precomputed state.
+    """
+    if replications < 1:
+        raise ConfigError("need at least one replication")
+    if n < 1:
+        raise ConfigError("need at least one draw")
+    states = _pcg64_states(seed, replications)
+    bitgen = np.random.PCG64()  # its seed is overwritten before every row
+    rng = np.random.Generator(bitgen)
+    out = np.empty((replications, n))
+    for r, (state, inc) in enumerate(states):
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        out[r] = _draw(spec, n, rng)
+    return out
 
 
 def noise_sigma(signal: Sequence, snr_db: float) -> float:

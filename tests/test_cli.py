@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -223,10 +225,11 @@ class TestMalformedCsv:
         _indexed_sequence([0, 0, *range(2, 512)]),                  # duplicated index
         _indexed_sequence([*range(511), 512]),                      # skipped index
         _indexed_sequence([0, 2, 1, *range(3, 512)]),               # out-of-order indices
+        "rep,index,value\n0,0,\u00a01.0\n",                         # non-ASCII space
     ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence",
             "extra_field", "extra_sequence_field", "comment_char", "quoted_field",
             "non_integer_rep", "whitespace_body", "no_sequence_rows", "duplicate_index",
-            "skipped_index", "unordered_index"])
+            "skipped_index", "unordered_index", "non_ascii_space"])
     def test_exit_config_without_traceback(self, tmp_path, capsys, recwarn, text):
         src = tmp_path / "bad.csv"
         src.write_text(text)
@@ -235,6 +238,25 @@ class TestMalformedCsv:
         assert "Traceback" not in err
         assert str(src) in err
         assert not recwarn.list  # e.g. loadtxt's "input contained no data"
+
+    # numpy 2.4's loadtxt can segfault on integer fields of astral-plane characters;
+    # a subprocess turns such a crash into a failed test instead of a killed run
+    @pytest.mark.parametrize("char", ["\U000E0001", "\U000F0000", "\U000FFFFD", "\U0010FFFD"])
+    @pytest.mark.parametrize("text", [
+        "rep,index,value\n{},0,1.0\n",
+        "rep,index,value\n0,{},1.0\n",
+        "index,time,value\n{},0.0,1.0\n",
+    ], ids=["rep", "index", "sequence_index"])
+    def test_astral_plane_field_exits_config(self, tmp_path, text, char):
+        src = tmp_path / "bad.csv"
+        src.write_text(text.format(char), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(pg.__file__)), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polygauss.cli", "test", "--in", str(src),
+             "--out-dir", str(tmp_path / "r")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert "ASCII" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_non_utf8_bytes(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
@@ -385,6 +407,32 @@ class TestSimulate:
                    "--reps", "16", "--seed", "1", "--out-dir", str(out_dir)) == 1
         err = capsys.readouterr().err
         assert "gamma shape" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_nan_snr_rejected_before_draws(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--noise", "gaussian", "--reps", "16", "--seed", "1",
+                   "--snr-db", "nan", "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert "SNR" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--fft-len", "3", "FFT length"),
+        ("--fft-len", "8", "FFT length"),  # shorter than the 60-point records
+        ("--bins", "0", "bin"),
+    ])
+    def test_bad_setup_rejected_before_draws(self, tmp_path, capsys, monkeypatch,
+                                             flag, value, named):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the setup was checked")
+
+        monkeypatch.setattr(pg.experiment, "draw_noise_ensemble", no_draws)
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--noise", "gaussian", "--reps", "16", "--seed", "1",
+                   flag, value, "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert named in err and "family" not in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_malformed_component(self, tmp_path, capsys):

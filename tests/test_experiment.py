@@ -106,6 +106,30 @@ class TestRunExperiment:
                 pg.ExperimentConfig.reference(replications=10, seed=1, families=("gaussian",),
                                               gamma_shape=shape)
 
+    @pytest.mark.parametrize("setup", [
+        {"snr_db": np.nan},
+        {"fft_len": 3},
+        {"fft_len": 0},
+        {"fft_len": 32},  # shorter than the 60-point reference records
+        {"bins": 0},
+    ])
+    def test_setup_checked_at_construction(self, setup):
+        with pytest.raises(pg.ConfigError):
+            pg.ExperimentConfig.reference(replications=10, seed=1, **setup)
+
+    def test_input_ensemble_is_per_stream_draws(self):
+        # run_experiment draws each family in one pass; rebuild it one stream at a time
+        cfg = small_config(seed=5, reps=64, families=("gamma",))
+        (fam,) = pg.run_experiment(cfg).families
+        fam_seed = pg.experiment._family_seed(cfg.seed, "gamma")
+        sigma = pg.noise_sigma(pg.synth_signal(cfg.signal, cfg.grid), cfg.snr_db)
+        W = np.array([pg.draw_noise(pg.NoiseSpec("gamma"), 60, pg.derive_stream(fam_seed, r))
+                      for r in range(64)]) * sigma
+        ref = pg.gaussianity_report(pg.Ensemble(W, cfg.grid), cfg.fft_len, cfg.bins)
+        assert fam.input_report.statistic == ref.statistic
+        assert fam.input_report.avg_kurtosis == ref.avg_kurtosis
+        npt.assert_array_equal(fam.input_report.histogram.counts, ref.histogram.counts)
+
     def test_foreign_exception_propagates_unchanged(self, monkeypatch):
         class TwoArgError(Exception):
             def __init__(self, message, detail):

@@ -273,6 +273,15 @@ class TestExcessKurtosis:
         shifted = pg.excess_kurtosis(pg.Ensemble(-1.7 * v + 4.2))
         assert shifted == pytest.approx(base, abs=1e-9)
 
+    @pytest.mark.parametrize("shape", [(500, 60), (1, 1000)])
+    def test_matches_fourth_power_formula(self, shape):
+        # the estimator squares u**2 instead of raising u to the 4th; float64 rounding only
+        v = np.random.default_rng(19).laplace(size=shape)
+        axis = 0 if shape[0] > 1 else None  # one record: kurtosis across time
+        u = v - v.mean(axis=axis, keepdims=True)
+        ref = np.mean(np.mean(u**4, axis=axis) / np.mean(u**2, axis=axis) ** 2 - 3.0)
+        assert pg.excess_kurtosis(pg.Ensemble(v)) == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
     def test_single_record_fallback(self):
         rng = np.random.default_rng(18)
         w = rng.uniform(-math.sqrt(3), math.sqrt(3), 10**6)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polygauss as pg
+from polygauss.noise import _pcg64_states
 
 REF_G0 = 1.0 + 0.5 * math.cos(math.pi / 4) + 0.5 * math.cos(math.pi / 6)
 
@@ -80,6 +83,45 @@ class TestDrawNoise:
     def test_need_one_draw(self):
         with pytest.raises(pg.ConfigError):
             pg.draw_noise(pg.NoiseSpec("gaussian"), 0, pg.RngStream(1, 0))
+
+
+
+class TestDrawNoiseEnsemble:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), reps=st.integers(1, 64), n=st.integers(1, 80))
+    @example(seed=0, reps=3, n=1)
+    @example(seed=1, reps=64, n=80)
+    @example(seed=2**32 - 1, reps=5, n=7)  # the largest one-word seed
+    @example(seed=2**32, reps=5, n=7)      # the smallest two-word seed
+    @example(seed=2**64 - 1, reps=5, n=7)
+    def test_rows_equal_per_stream_draws(self, seed, reps, n):
+        for r, (state, inc) in enumerate(_pcg64_states(seed, reps)):
+            ref = np.random.PCG64(np.random.SeedSequence((seed, r))).state["state"]
+            assert (state, inc) == (ref["state"], ref["inc"])
+        for family in pg.NOISE_FAMILIES:
+            spec = pg.NoiseSpec(family)
+            W = pg.draw_noise_ensemble(spec, reps, n, seed)
+            assert W.shape == (reps, n)
+            for r in range(reps):
+                assert W[r].tobytes() == pg.draw_noise(spec, n, pg.RngStream(seed, r)).tobytes()
+
+    def test_seed_masked_like_rng_stream(self):
+        spec = pg.NoiseSpec("gamma", gamma_shape=2.5)
+        W = pg.draw_noise_ensemble(spec, 4, 9, -3)
+        for r in range(4):
+            assert W[r].tobytes() == pg.draw_noise(spec, 9, pg.RngStream(-3, r)).tobytes()
+
+    def test_index_beyond_one_word_rejected(self):
+        # the check comes before any state or draw is computed
+        with pytest.raises(pg.ConfigError, match="32-bit"):
+            _pcg64_states(1, 2**32 + 1)
+        with pytest.raises(pg.ConfigError, match="32-bit"):
+            pg.draw_noise_ensemble(pg.NoiseSpec("gaussian"), 2**32 + 1, 1, 1)
+
+    @pytest.mark.parametrize("reps,n", [(0, 5), (5, 0)])
+    def test_needs_one_row_and_one_draw(self, reps, n):
+        with pytest.raises(pg.ConfigError):
+            pg.draw_noise_ensemble(pg.NoiseSpec("gaussian"), reps, n, 1)
 
 
 class TestScaleToSnr:
