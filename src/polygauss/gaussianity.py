@@ -30,6 +30,7 @@ from .errors import (
 from .ortho import SampleGrid
 
 EPS_FLOOR = 1e-30
+_SIXTH_ROOT_MAX = float(np.finfo(np.float64).max) ** (1 / 6)
 MIN_FRAMES = 8
 #: DFT length M and histogram bin count of the reference study
 REFERENCE_FFT_LEN, REFERENCE_BINS = 64, 20
@@ -72,10 +73,18 @@ def segment_record(values: np.ndarray, frame_len: int) -> Ensemble:
     return Ensemble(v[: K * frame_len].reshape(K, frame_len))
 
 
+def _principal_index(fft_len: int) -> tuple[np.ndarray, np.ndarray]:
+    # (j, k) index arrays of the principal domain, in the kernel's row order
+    rows, widths = _kernels.principal_rows(fft_len)
+    starts = np.cumsum(widths) - widths
+    j = np.repeat(rows, widths)
+    return j, np.arange(j.size) - np.repeat(starts, widths) + 1
+
+
 def principal_domain(fft_len: int) -> list[tuple[int, int]]:
     """Non-redundant bifrequency pairs: 1 <= k <= j, j + k <= M/2 - 1."""
-    half = fft_len // 2
-    return [(j, k) for j in range(1, half) for k in range(1, j + 1) if j + k <= half - 1]
+    j, k = _principal_index(fft_len)
+    return list(zip(j.tolist(), k.tolist()))
 
 
 @dataclass(frozen=True)
@@ -158,12 +167,6 @@ def third_cumulant(ensemble: Ensemble, k1: int, k2: int) -> float:
     return float(prods.mean(axis=1).mean())
 
 
-def _bispectrum(X: np.ndarray) -> BispectrumEstimate:
-    R, M = X.shape
-    s3, msq = _kernels.triple_grid(X, M // 2 + 1)
-    return BispectrumEstimate(fft_len=M, frames=R, s3=s3, triple_msq=msq)
-
-
 def _power(X: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(X[:, : X.shape[1] // 2 + 1]) ** 2, axis=0)
 
@@ -172,7 +175,9 @@ def bispectrum_direct(
     ensemble: Ensemble, fft_len: int, center_ensemble: bool = True
 ) -> BispectrumEstimate:
     """Frame-averaged triple-product bispectrum, one frame per record."""
-    return _bispectrum(_frames_fft(ensemble, fft_len, center_ensemble))
+    X = _frames_fft(ensemble, fft_len, center_ensemble)
+    s3, msq = _kernels.triple_grid(X, fft_len // 2 + 1)
+    return BispectrumEstimate(fft_len=fft_len, frames=X.shape[0], s3=s3, triple_msq=msq)
 
 
 def power_spectrum(
@@ -182,40 +187,43 @@ def power_spectrum(
     return _power(_frames_fft(ensemble, fft_len, center_ensemble))
 
 
+def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
+    # s3, msq: frame means at the principal-domain points, in _principal_index order
+    j, k = _principal_index(fft_len)
+    den = power[j] * power[k] * power[j + k]
+    # np.hypot is the scalar abs() of a complex number bit for bit (np.abs is
+    # not), and the square stays a per-point pow, as the scalar formula had it
+    h2 = np.array([h**2 for h in np.hypot(s3.real, s3.imag).tolist()])
+    # unbiased variance of one triple product around the frame mean
+    var = (msq - h2) * K / (K - 1)
+    # the dead-denominator floor is relative to the power grid, so rescaling
+    # the ensemble keeps the same points
+    keep = (den > EPS_FLOOR * power.max() ** 3) & (var > EPS_FLOOR * den) & np.isfinite(var)
+    den = den[keep]
+    return BicoherenceGrid(
+        fft_len=fft_len,
+        frames=K,
+        points=tuple(zip(j[keep].tolist(), k[keep].tolist())),
+        values=h2[keep] / den,
+        normalizer=var[keep] / den,
+        excluded=int(keep.size - np.count_nonzero(keep)),
+    )
+
+
 def bicoherence(bisp: BispectrumEstimate, power: np.ndarray) -> BicoherenceGrid:
     """Squared bicoherence with per-point variance normalizers on the principal domain."""
     power = np.asarray(power, dtype=np.float64)
     if power.shape != (bisp.fft_len // 2 + 1,):
         raise DimensionError("power grid length does not match the bispectrum FFT length")
-    K = bisp.frames
-    kept, vals, norms = [], [], []
-    excluded = 0
-    for j, k in principal_domain(bisp.fft_len):
-        den = power[j] * power[k] * power[j + k]
-        s3 = bisp.s3[j, k]
-        # unbiased variance of one triple product around the frame mean
-        var = (bisp.triple_msq[j, k] - abs(s3) ** 2) * K / (K - 1)
-        if den < EPS_FLOOR or var <= EPS_FLOOR * den or not math.isfinite(var):
-            excluded += 1
-            continue
-        kept.append((j, k))
-        vals.append(abs(s3) ** 2 / den)
-        norms.append(var / den)
-    return BicoherenceGrid(
-        fft_len=bisp.fft_len,
-        frames=K,
-        points=tuple(kept),
-        values=np.asarray(vals),
-        normalizer=np.asarray(norms),
-        excluded=excluded,
-    )
+    j, k = _principal_index(bisp.fft_len)
+    return _bicoherence(bisp.fft_len, bisp.frames, bisp.s3[j, k], bisp.triple_msq[j, k], power)
 
 
 def hinich_test(bicoh: BicoherenceGrid, frames: int) -> tuple[float, int, float]:
     """Chi-squared Gaussianity statistic, its degrees of freedom, and the PFA."""
     if frames < MIN_FRAMES:
         raise InsufficientFramesError(f"need at least {MIN_FRAMES} frames")
-    if not principal_domain(bicoh.fft_len):
+    if not _kernels.principal_rows(bicoh.fft_len)[0].size:
         raise ConfigError("principal domain is empty; FFT length too small")
     n_pts = len(bicoh.points)
     if n_pts == 0:  # every point numerically dead: nothing rejects the null
@@ -292,13 +300,20 @@ def gaussianity_report(
     bins: int = REFERENCE_BINS,
 ) -> GaussianityReport:
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
-    if np.all(ensemble.values == ensemble.values.flat[0]):
+    v = ensemble.values
+    R, N = v.shape
+    if np.all(v == v.flat[0]):
         raise DegenerateDataError("ensemble is constant")
+    # After the two mean removals |X_j| <= 4 N max|v|, and the frames' sum of
+    # |X_j X_k X_{j+k}|^2 adds R sixth powers of that bound.
+    if 4.0 * N * float(np.abs(v).max()) * R ** (1 / 6) >= _SIXTH_ROOT_MAX:
+        raise DegenerateDataError("ensemble magnitude overflows the sixth-power moments")
     X = _frames_fft(ensemble, fft_len, center_ensemble=True)
-    bicoh = bicoherence(_bispectrum(X), _power(X))
-    stat, dof, pfa = hinich_test(bicoh, ensemble.replications)
+    s3, msq = _kernels.principal_triples(X)
+    bicoh = _bicoherence(fft_len, R, s3, msq, _power(X))
+    stat, dof, pfa = hinich_test(bicoh, R)
     kurt = excess_kurtosis(ensemble)
-    hist = histogram(ensemble.values, bins)
+    hist = histogram(v, bins)
     return GaussianityReport(
         statistic=stat,
         dof=dof,
@@ -307,6 +322,6 @@ def gaussianity_report(
         histogram=hist,
         bicoherence=bicoh,
         fft_len=fft_len,
-        frames=ensemble.replications,
-        replications=ensemble.replications,
+        frames=R,
+        replications=R,
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -182,6 +183,19 @@ class TestTestCommand:
         _write_bicoherence_csv(str(tmp_path / "bicoherence.csv"), rep.bicoherence)
         for name in ("histogram.csv", "bicoherence.csv"):
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_overflowing_ensemble_degenerate(self, tmp_path, capsys):
+        table = np.random.default_rng(7).standard_normal((20, 30)) * 1e200
+        src = self.write_ensemble(tmp_path, table)
+        out_dir = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("test", "--in", src, "--out-dir", str(out_dir)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "overflow" in captured.err
+        assert not out_dir.exists()
 
     def test_long_sequence_segmented(self, tmp_path):
         grid = pg.SampleGrid.uniform(1024, 1.0)

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 import polygauss as pg
 from polygauss import _kernels
-from polygauss.gaussianity import _frames_fft
+from polygauss.gaussianity import _SIXTH_ROOT_MAX, EPS_FLOOR, _frames_fft
 
 
 def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
@@ -178,6 +178,89 @@ class TestBicoherence:
         bisp = pg.bispectrum_direct(ens, 32)
         with pytest.raises(pg.DimensionError):
             pg.bicoherence(bisp, np.ones(10))
+
+
+def loop_bicoherence(bisp, power):
+    # the per-point scalar formula that bicoherence evaluated before it became
+    # array code, kept as the reference (with the relative dead-denominator floor)
+    K = bisp.frames
+    floor = EPS_FLOOR * power.max() ** 3
+    kept, vals, norms = [], [], []
+    excluded = 0
+    for j, k in pg.principal_domain(bisp.fft_len):
+        den = power[j] * power[k] * power[j + k]
+        s3 = bisp.s3[j, k]
+        var = (bisp.triple_msq[j, k] - abs(s3) ** 2) * K / (K - 1)
+        if den <= floor or var <= EPS_FLOOR * den or not math.isfinite(var):
+            excluded += 1
+            continue
+        kept.append((j, k))
+        vals.append(abs(s3) ** 2 / den)
+        norms.append(var / den)
+    return pg.BicoherenceGrid(bisp.fft_len, K, tuple(kept), np.asarray(vals),
+                              np.asarray(norms), excluded)
+
+
+def assert_same_grid(got, ref):
+    assert got.points == ref.points
+    assert got.excluded == ref.excluded
+    assert np.array_equal(got.values, ref.values)
+    assert np.array_equal(got.normalizer, ref.normalizer)
+
+
+class TestPrincipalDomainReport:
+    def test_principal_domain_definition(self):
+        for M in range(0, 260):
+            half = M // 2
+            ref = [(j, k) for j in range(1, half) for k in range(1, j + 1) if j + k <= half - 1]
+            got = pg.principal_domain(M)
+            assert got == ref
+            assert all(type(j) is int and type(k) is int for j, k in got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(R=st.integers(8, 40), half=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+    def test_report_matches_full_grid_and_point_loop(self, R, half, seed):
+        M = 2 * half
+        rng = np.random.default_rng(seed)
+        ens = pg.Ensemble(rng.gamma(2.0, size=(R, int(rng.integers(2, M + 1)))))
+        got = pg.gaussianity_report(ens, M).bicoherence
+        bisp, power = pg.bispectrum_direct(ens, M), pg.power_spectrum(ens, M)
+        assert_same_grid(got, pg.bicoherence(bisp, power))
+        assert_same_grid(got, loop_bicoherence(bisp, power))
+
+    def test_report_never_forms_full_grid(self, monkeypatch):
+        def full_grid(X, F):
+            raise AssertionError("gaussianity_report formed the full triple-product grid")
+
+        monkeypatch.setattr(_kernels, "triple_grid", full_grid)
+        rep = pg.gaussianity_report(triad_ensemble(np.random.default_rng(15)), fft_len=64)
+        assert rep.pfa < 0.01
+
+    def test_dead_denominator_floor_is_scale_free(self):
+        w = np.random.default_rng(16).gamma(2.0, size=(500, 60))
+        w = (w - 2.0) / math.sqrt(2.0)  # unit variance
+        base = pg.gaussianity_report(pg.Ensemble(w), 64)
+        assert base.pfa < 1e-6
+        for scale in (1e-6, 1e-8):
+            rep = pg.gaussianity_report(pg.Ensemble(w * scale), 64)
+            assert rep.bicoherence.points == base.bicoherence.points
+            assert rep.dof == base.dof
+            assert rep.statistic == pytest.approx(base.statistic, rel=1e-9)
+
+    def test_overflowing_magnitude_is_degenerate(self):
+        w = np.random.default_rng(17).standard_normal((20, 30))
+        with pytest.raises(pg.DegenerateDataError, match="overflow"):
+            pg.gaussianity_report(pg.Ensemble(w * 1e200))
+        # just inside the bound every moment stays finite (a RuntimeWarning fails the test)
+        inside = 0.99 * _SIXTH_ROOT_MAX / (4 * 30 * 20 ** (1 / 6))
+        rep = pg.gaussianity_report(pg.Ensemble(w / np.abs(w).max() * inside))
+        assert math.isfinite(rep.statistic) and math.isfinite(rep.avg_kurtosis)
+
+    def test_empty_domain_rejected(self):
+        grid = pg.BicoherenceGrid(fft_len=4, frames=8, points=(), values=np.zeros(0),
+                                  normalizer=np.zeros(0), excluded=0)
+        with pytest.raises(pg.ConfigError):
+            pg.hinich_test(grid, 8)
 
 
 class TestHinich:

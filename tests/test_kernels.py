@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polygauss as pg
 from polygauss import _kernels
 
 
@@ -70,3 +71,16 @@ class TestTripleGridProperties:
         npt.assert_array_equal(msq[lower], ref_msq[lower])
         assert np.array_equal(s3, s3.T)
         assert np.array_equal(msq, msq.T)
+
+
+class TestPrincipalTriples:
+    @settings(max_examples=60, deadline=None)
+    @given(R=st.integers(1, 40), half=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_grid_at_principal_points(self, R, half, seed):
+        M = 2 * half
+        X = random_frames(np.random.default_rng(seed), R=R, M=M)
+        s3, msq = _kernels.principal_triples(X)
+        grid_s3, grid_msq = _kernels.triple_grid(X, half + 1)
+        j, k = np.array(pg.principal_domain(M)).T
+        assert np.array_equal(s3, grid_s3[j, k])
+        assert np.array_equal(msq, grid_msq[j, k])
