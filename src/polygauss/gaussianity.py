@@ -31,7 +31,17 @@ from .ortho import SampleGrid
 
 EPS_FLOOR = 1e-30
 _SIXTH_ROOT_MAX = float(np.finfo(np.float64).max) ** (1 / 6)
+# Data with max|v| in [2**-101, 2**100) keeps every fourth- and sixth-power moment,
+# down to the 1e-30 dead-denominator floor, far from the subnormal range and from
+# overflow; data outside is rescaled first
+_SAFE_EXPONENT = 100
 MIN_FRAMES = 8
+# Stirling series of lgamma(a) - ((a - 1/2) ln a - a + ln(2 pi) / 2): B_2k / (2k (2k - 1))
+# times a^(1 - 2k), k = 1..5; the first dropped term is below 2.2e-16 from a = 15 on
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+_STIRLING_MIN_A = 15.0
+_EPS = 2.0**-52
+_TINY = 1e-300  # keeps the Lentz recurrence off zero denominators
 #: DFT length M and histogram bin count of the reference study
 REFERENCE_FFT_LEN, REFERENCE_BINS = 64, 20
 
@@ -239,9 +249,82 @@ def chi2_survival(x: float, dof: int) -> float:
         raise ConfigError("degrees of freedom must be positive")
     if x < 0 or not math.isfinite(x):
         raise ConfigError("statistic must be finite and non-negative")
-    from scipy.special import gammaincc  # deferred: scipy.special dominates import time
+    if x == 0:
+        return 1.0
+    return _gamma_q(dof / 2.0, x / 2.0)
 
-    return float(gammaincc(dof / 2.0, x / 2.0))
+
+def _log1pmx(t: float) -> float:
+    """ln(1 + t) - t for t >= -1/2, without cancellation near t = 0."""
+    if t > 0.5:
+        return math.log1p(t) - t
+    # with u = t / (2 + t): ln(1 + t) = 2 atanh(u) = 2 (u + u^3/3 + ...) and t - 2u = u t
+    u = t / (2.0 + t)
+    u2 = u * u
+    term, n, s = u * u2, 3, 0.0
+    while s + term / n != s:
+        s += term / n
+        term *= u2
+        n += 2
+    return 2.0 * s - u * t
+
+
+def _log_gamma_prefactor(a: float, x: float) -> float:
+    """ln(x^a e^-x / Gamma(a)) for x > 0."""
+    if a < _STIRLING_MIN_A or x < 0.5 * a:
+        # small a, or x so far below a that Q = 1 - P does not feel P's error
+        return a * math.log(x) - x - math.lgamma(a)
+    # a ln x - x - lgamma(a) loses about eps * a to cancellation: with x = a (1 + t)
+    # and lgamma(a) split into Stirling's main part and its remainder, the large
+    # terms cancel exactly
+    rem = 0.0
+    for c in reversed(_STIRLING):
+        rem = rem / (a * a) + c
+    return a * _log1pmx((x - a) / a) + 0.5 * math.log(a / (2.0 * math.pi)) - rem / a
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, x) for a > 0, x > 0."""
+    prefactor = math.exp(_log_gamma_prefactor(a, x))
+    if x < a + 1.0:
+        # power series: P(a, x) = prefactor * sum_n x^n / (a (a + 1) ... (a + n))
+        term = total = 1.0 / a
+        ap = a
+        while term > total * _EPS:
+            ap += 1.0
+            term *= x / ap
+            total += term
+        return 1.0 - prefactor * total
+    # Q(a, x) / prefactor as a continued fraction, by the modified Lentz method
+    b = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    h, i, delta = d, 0, 0.0
+    while abs(delta - 1.0) > _EPS:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        delta = d * c
+        h *= delta
+    return prefactor * h
+
+
+def _unit_scaled(ensemble: Ensemble, vmax: float) -> Ensemble:
+    """The ensemble, rescaled into max|v| < 1 if vmax = max|v| is outside the safe band.
+
+    The scaling is by a power of two, so it is exact and the scale-free statistics
+    keep their values. Inside the band the ensemble is returned as it is, because
+    the per-point pow in the bicoherence is not exactly scale-invariant.
+    """
+    e = math.frexp(vmax)[1]
+    if abs(e) <= _SAFE_EXPONENT:
+        return ensemble
+    # 2**-e itself overflows for subnormal data; 2**1023 still scales it exactly
+    return Ensemble(ensemble.values * math.ldexp(1.0, min(-e, 1023)))
 
 
 def excess_kurtosis(ensemble: Ensemble) -> float:
@@ -250,7 +333,7 @@ def excess_kurtosis(ensemble: Ensemble) -> float:
     With a single record the kurtosis is taken across time instead (input-noise
     spot checks).
     """
-    v = ensemble.values
+    v = _unit_scaled(ensemble, np.abs(ensemble.values).max()).values
     R = ensemble.replications
     if R == 1:
         u = v[0] - v[0].mean()
@@ -306,9 +389,10 @@ def gaussianity_report(
         raise DegenerateDataError("ensemble is constant")
     # After the two mean removals |X_j| <= 4 N max|v|, and the frames' sum of
     # |X_j X_k X_{j+k}|^2 adds R sixth powers of that bound.
-    if 4.0 * N * float(np.abs(v).max()) * R ** (1 / 6) >= _SIXTH_ROOT_MAX:
+    vmax = float(np.abs(v).max())
+    if 4.0 * N * vmax * R ** (1 / 6) >= _SIXTH_ROOT_MAX:
         raise DegenerateDataError("ensemble magnitude overflows the sixth-power moments")
-    X = _frames_fft(ensemble, fft_len, center_ensemble=True)
+    X = _frames_fft(_unit_scaled(ensemble, vmax), fft_len, center_ensemble=True)
     s3, msq = _kernels.principal_triples(X)
     bicoh = _bicoherence(fft_len, R, s3, msq, _power(X))
     stat, dof, pfa = hinich_test(bicoh, R)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -247,6 +248,22 @@ class TestPrincipalDomainReport:
             assert rep.dof == base.dof
             assert rep.statistic == pytest.approx(base.statistic, rel=1e-9)
 
+    def test_tiny_magnitude_keeps_the_statistic(self):
+        # scaled to 1e-60 the sixth-power moments once underflowed to 0, every point was
+        # dropped and this strongly non-Gaussian ensemble read S=0, PFA=1
+        w = np.random.default_rng(16).gamma(2.0, size=(500, 60))
+        w = (w - 2.0) / math.sqrt(2.0)  # unit variance
+        base = pg.gaussianity_report(pg.Ensemble(w), 64)
+        assert base.statistic > 1000 and base.bicoherence.excluded == 0
+        for scale in (1e-60, 1e-100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = pg.gaussianity_report(pg.Ensemble(w * scale), 64)
+            assert rep.statistic == pytest.approx(base.statistic, rel=1e-9)
+            assert (rep.dof, rep.pfa) == (base.dof, base.pfa)
+            assert rep.bicoherence.points == base.bicoherence.points
+            assert rep.avg_kurtosis == pytest.approx(base.avg_kurtosis, rel=1e-12)
+
     def test_overflowing_magnitude_is_degenerate(self):
         w = np.random.default_rng(17).standard_normal((20, 30))
         with pytest.raises(pg.DegenerateDataError, match="overflow"):
@@ -326,7 +343,7 @@ class TestChi2Survival:
             pg.chi2_survival(1.0, 0)
 
     def test_import_leaves_scipy_special_unloaded(self):
-        # scipy.special is most of the package's import time; only chi2_survival needs it
+        # scipy.special would be most of the package's import time; nothing at runtime needs it
         src = os.path.dirname(os.path.dirname(pg.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -336,6 +353,49 @@ class TestChi2Survival:
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"
+
+    def test_cli_runs_leave_scipy_unloaded(self, tmp_path):
+        # scipy is an oracle for the tests only: a simulate and a test run never import it
+        rows = np.random.default_rng(5).standard_normal((16, 20))
+        csv = tmp_path / "ens.csv"
+        csv.write_text("rep,index,value\n" + "".join(
+            f"{r},{i},{x!r}\n" for r, rec in enumerate(rows.tolist()) for i, x in enumerate(rec)))
+        runs = [["simulate", "--paper", "--reps", "16", "--seed", "1",
+                 "--out-dir", str(tmp_path / "sim")],
+                ["test", "--in", str(csv), "--out-dir", str(tmp_path / "report")]]
+        code = ("import sys\nfrom polygauss.cli import main\n"
+                f"codes = [main(argv) for argv in {runs!r}]\n"
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(pg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
+
+    def test_matches_scipy_at_principal_domain_dofs(self):
+        # the dof of every FFT length M = 8 .. 1024, from mean - 8 sd to mean + 40 sd
+        from scipy.special import gammaincc
+
+        worst = 0.0
+        for p in range(3, 11):
+            dof = 2 * len(pg.principal_domain(2**p))
+            for x in (dof + np.arange(-8.0, 40.25, 0.25) * math.sqrt(2.0 * dof)).tolist():
+                ref = float(gammaincc(dof / 2, x / 2))
+                if x >= 0 and ref > 1e-300:
+                    worst = max(worst, abs(pg.chi2_survival(x, dof) - ref) / ref)
+        assert worst <= 2e-11
+
+    def test_matches_scipy_at_small_dof(self):
+        from scipy.special import gammaincc
+
+        worst = 0.0
+        for dof in range(1, 60):
+            for x in np.linspace(0.0, 4.0 * dof + 50.0, 201).tolist():
+                ref = float(gammaincc(dof / 2, x / 2))
+                if ref > 1e-300:
+                    worst = max(worst, abs(pg.chi2_survival(x, dof) - ref) / ref)
+        assert worst <= 1e-13
 
 
 class TestExcessKurtosis:
@@ -369,6 +429,20 @@ class TestExcessKurtosis:
         rng = np.random.default_rng(18)
         w = rng.uniform(-math.sqrt(3), math.sqrt(3), 10**6)
         assert pg.excess_kurtosis(pg.Ensemble(w[None, :])) == pytest.approx(-1.2, abs=0.05)
+
+    @pytest.mark.parametrize("shape", [(500, 60), (1, 1000)])
+    def test_extreme_magnitude_keeps_its_value(self, shape):
+        # u**4 of data near 1e-100 underflows, and near 1e100 overflows, unless rescaled
+        v = np.random.default_rng(20).laplace(size=shape)
+        base = pg.excess_kurtosis(pg.Ensemble(v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-200, 1e-100, 1e100, 1e200):
+                assert pg.excess_kurtosis(pg.Ensemble(v * scale)) == pytest.approx(base, rel=1e-12)
+            # subnormal data is rescaled exactly too, whatever precision it has left
+            sub = v * 2.0**-1060
+            assert pg.excess_kurtosis(pg.Ensemble(sub)) == pg.excess_kurtosis(
+                pg.Ensemble(sub * 2.0**1023))
 
     def test_too_few_replications(self):
         with pytest.raises(pg.DegenerateDataError):
