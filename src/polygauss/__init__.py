@@ -8,7 +8,6 @@ from .errors import (
     DimensionError,
     InsufficientFramesError,
     InvalidCovarianceError,
-    LagError,
     OrderRangeError,
     PolygaussError,
     UndefinedSnrError,
@@ -17,7 +16,6 @@ from .experiment import (
     ExperimentConfig,
     ExperimentResult,
     FamilyResult,
-    derive_stream,
     emit_report,
     run_experiment,
 )
@@ -37,7 +35,6 @@ from .gaussianity import (
     power_spectrum,
     principal_domain,
     segment_record,
-    third_cumulant,
 )
 from .noise import (
     NOISE_FAMILIES,
@@ -46,9 +43,7 @@ from .noise import (
     SignalSpec,
     draw_noise,
     draw_noise_ensemble,
-    make_observation,
     noise_sigma,
-    scale_to_snr,
     synth_signal,
 )
 from .ortho import (

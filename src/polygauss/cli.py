@@ -242,6 +242,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # a size flag too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
     except PolygaussError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -21,10 +21,6 @@ class DimensionError(ConfigError):
     """Array length does not match the sample grid."""
 
 
-class LagError(ConfigError):
-    """Cumulant lag outside the record length."""
-
-
 class InvalidCovarianceError(ConfigError):
     """Noise covariance matrix is not symmetric PSD."""
 

@@ -27,7 +27,6 @@ from .gaussianity import (
 from .noise import (
     NOISE_FAMILIES,
     NoiseSpec,
-    RngStream,
     SignalSpec,
     draw_noise_ensemble,
     noise_sigma,
@@ -101,11 +100,6 @@ class FamilyResult:
 class ExperimentResult:
     config: ExperimentConfig
     families: tuple = field(default_factory=tuple)  # FamilyResult in request order
-
-
-def derive_stream(master_seed: int, index: int) -> RngStream:
-    """Deterministic independent substream for one replication."""
-    return RngStream(seed=master_seed, index=index)
 
 
 def _family_seed(master_seed: int, family: str) -> int:

@@ -20,21 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import (
-    ConfigError,
-    DegenerateDataError,
-    DimensionError,
-    InsufficientFramesError,
-    LagError,
-)
+from .errors import ConfigError, DegenerateDataError, DimensionError, InsufficientFramesError
 from .ortho import SampleGrid
 
 EPS_FLOOR = 1e-30
 _SIXTH_ROOT_MAX = float(np.finfo(np.float64).max) ** (1 / 6)
-# Data with max|v| in [2**-101, 2**100) keeps every fourth- and sixth-power moment,
-# down to the 1e-30 dead-denominator floor, far from the subnormal range and from
-# overflow; data outside is rescaled first
-_SAFE_EXPONENT = 100
 MIN_FRAMES = 8
 # Stirling series of lgamma(a) - ((a - 1/2) ln a - a + ln(2 pi) / 2): B_2k / (2k (2k - 1))
 # times a^(1 - 2k), k = 1..5; the first dropped term is below 2.2e-16 from a = 15 on
@@ -162,21 +152,6 @@ def _frames_fft(ensemble: Ensemble, fft_len: int, center_ensemble: bool) -> np.n
     return np.fft.fft(v, n=fft_len, axis=1)
 
 
-def third_cumulant(ensemble: Ensemble, k1: int, k2: int) -> float:
-    """Average of u[n] u[n+k1] u[n+k2] over valid n per mean-removed record, then records."""
-    N = ensemble.record_length
-    if abs(k1) >= N or abs(k2) >= N:
-        raise LagError(f"lags ({k1}, {k2}) out of range for record length {N}")
-    lo = max(0, -k1, -k2)
-    hi = N - 1 - max(0, k1, k2)
-    if hi < lo:
-        raise LagError(f"lags ({k1}, {k2}) leave no valid samples")
-    v = ensemble.values - ensemble.values.mean(axis=1, keepdims=True)
-    span = np.arange(lo, hi + 1)
-    prods = v[:, span] * v[:, span + k1] * v[:, span + k2]
-    return float(prods.mean(axis=1).mean())
-
-
 def _power(X: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(X[:, : X.shape[1] // 2 + 1]) ** 2, axis=0)
 
@@ -201,9 +176,9 @@ def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
     # s3, msq: frame means at the principal-domain points, in _principal_index order
     j, k = _principal_index(fft_len)
     den = power[j] * power[k] * power[j + k]
-    # np.hypot is the scalar abs() of a complex number bit for bit (np.abs is
-    # not), and the square stays a per-point pow, as the scalar formula had it
-    h2 = np.array([h**2 for h in np.hypot(s3.real, s3.imag).tolist()])
+    # np.hypot is the scalar abs() of a complex number bit for bit (np.abs is not)
+    h = np.hypot(s3.real, s3.imag)
+    h2 = h * h
     # unbiased variance of one triple product around the frame mean
     var = (msq - h2) * K / (K - 1)
     # the dead-denominator floor is relative to the power grid, so rescaling
@@ -314,17 +289,13 @@ def _gamma_q(a: float, x: float) -> float:
 
 
 def _unit_scaled(ensemble: Ensemble, vmax: float) -> Ensemble:
-    """The ensemble, rescaled into max|v| < 1 if vmax = max|v| is outside the safe band.
+    """The ensemble times the power of two that puts vmax = max|v| into [1/2, 1).
 
-    The scaling is by a power of two, so it is exact and the scale-free statistics
-    keep their values. Inside the band the ensemble is returned as it is, because
-    the per-point pow in the bicoherence is not exactly scale-invariant.
+    ldexp scales every element exactly, subnormal ones included, so a statistic
+    of the result is the same bit for bit whatever power of two the data's units
+    carry, and the moments are formed at unit scale, far from underflow.
     """
-    e = math.frexp(vmax)[1]
-    if abs(e) <= _SAFE_EXPONENT:
-        return ensemble
-    # 2**-e itself overflows for subnormal data; 2**1023 still scales it exactly
-    return Ensemble(ensemble.values * math.ldexp(1.0, min(-e, 1023)))
+    return Ensemble(np.ldexp(ensemble.values, -math.frexp(vmax)[1]))
 
 
 def excess_kurtosis(ensemble: Ensemble) -> float:
@@ -392,11 +363,14 @@ def gaussianity_report(
     vmax = float(np.abs(v).max())
     if 4.0 * N * vmax * R ** (1 / 6) >= _SIXTH_ROOT_MAX:
         raise DegenerateDataError("ensemble magnitude overflows the sixth-power moments")
-    X = _frames_fft(_unit_scaled(ensemble, vmax), fft_len, center_ensemble=True)
+    # every statistic but the histogram, whose edges are in data units, reads the
+    # rescaled copy, so it keeps its bits when the data are scaled by a power of two
+    scaled = _unit_scaled(ensemble, vmax)
+    X = _frames_fft(scaled, fft_len, center_ensemble=True)
     s3, msq = _kernels.principal_triples(X)
     bicoh = _bicoherence(fft_len, R, s3, msq, _power(X))
     stat, dof, pfa = hinich_test(bicoh, R)
-    kurt = excess_kurtosis(ensemble)
+    kurt = excess_kurtosis(scaled)
     hist = histogram(v, bins)
     return GaussianityReport(
         statistic=stat,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UndefinedSnrError
+from .errors import ConfigError, UndefinedSnrError
 from .ortho import SampleGrid, Sequence
 
 NOISE_FAMILIES = ("gaussian", "laplacian", "uniform", "gamma")
@@ -196,16 +196,3 @@ def noise_sigma(signal: Sequence, snr_db: float) -> float:
     if power == 0.0:
         raise UndefinedSnrError("SNR undefined for an all-zero signal")
     return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
-
-
-def scale_to_snr(noise: np.ndarray, signal: Sequence, snr_db: float) -> np.ndarray:
-    """Scale unit-variance noise so mean signal power over noise variance hits ``snr_db``."""
-    return np.asarray(noise, dtype=np.float64) * noise_sigma(signal, snr_db)
-
-
-def make_observation(signal: Sequence, scaled_noise: np.ndarray) -> Sequence:
-    """Elementwise sum of the clean signal and the scaled noise record."""
-    w = np.asarray(scaled_noise, dtype=np.float64)
-    if w.shape != signal.values.shape:
-        raise DimensionError("signal and noise lengths differ")
-    return Sequence(signal.values + w, signal.grid)

@@ -454,3 +454,23 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert "--component" in err and "Traceback" not in err
+
+
+class TestOutOfMemory:
+    # a size flag such as --fft-len 1000000000000 makes numpy raise MemoryError; the
+    # stand-ins raise it without allocating anything
+    @pytest.mark.parametrize("command,target,message", [
+        ("simulate", "run_experiment", "Unable to allocate 7.11 PiB for an array"),
+        ("gen-signal", "synth_signal", ""),
+    ])
+    def test_out_of_memory_exits_config(self, tmp_path, capsys, monkeypatch,
+                                        command, target, message):
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pg.cli, target, too_large)
+        argv = {"simulate": ["--paper", "--reps", "16", "--seed", "1", "--out-dir"],
+                "gen-signal": ["--n", "16", "--dt", "1", "--out"]}[command]
+        assert run(command, *argv, str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message or 'out of memory'}\n"

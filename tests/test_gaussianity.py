@@ -26,50 +26,6 @@ def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
     return pg.Ensemble(np.cos(t1) + np.cos(t2) + np.cos(t1 + t2))
 
 
-class TestThirdCumulant:
-    def test_single_record_zero_lags(self):
-        ens = pg.Ensemble(np.array([[1.0, 2.0, 3.0]]))
-        assert pg.third_cumulant(ens, 0, 0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_ensemble(self):
-        ens = pg.Ensemble(np.zeros((4, 10)))
-        assert pg.third_cumulant(ens, 1, 2) == 0.0
-
-    def test_gaussian_vanishes(self):
-        rng = np.random.default_rng(1)
-        ens = pg.Ensemble(rng.standard_normal((10**5, 8)))
-        assert abs(pg.third_cumulant(ens, 0, 0)) < 0.05
-
-    def test_zero_lag_matches_third_moment(self):
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal((5, 40))
-        ens = pg.Ensemble(v)
-        centered = v - v.mean(axis=1, keepdims=True)
-        expect = np.mean(centered**3, axis=1).mean()
-        assert pg.third_cumulant(ens, 0, 0) == pytest.approx(expect, abs=1e-12)
-
-    def test_brute_force_oracle(self):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal((3, 12))
-        ens = pg.Ensemble(v)
-        for k1, k2 in [(1, 2), (-3, 1), (0, -2)]:
-            acc = []
-            for rec in v:
-                u = rec - rec.mean()
-                vals = [u[n] * u[n + k1] * u[n + k2]
-                        for n in range(12)
-                        if 0 <= n + k1 < 12 and 0 <= n + k2 < 12]
-                acc.append(np.mean(vals))
-            assert pg.third_cumulant(ens, k1, k2) == pytest.approx(np.mean(acc), abs=1e-12)
-
-    def test_lag_errors(self):
-        ens = pg.Ensemble(np.zeros((2, 5)))
-        with pytest.raises(pg.LagError):
-            pg.third_cumulant(ens, 5, 0)
-        with pytest.raises(pg.LagError):
-            pg.third_cumulant(ens, 0, -5)
-
-
 class TestBispectrum:
     def test_zero_ensemble_zero_grid(self):
         ens = pg.Ensemble(np.zeros((8, 16)))
@@ -183,7 +139,8 @@ class TestBicoherence:
 
 def loop_bicoherence(bisp, power):
     # the per-point scalar formula that bicoherence evaluated before it became
-    # array code, kept as the reference (with the relative dead-denominator floor)
+    # array code, kept as the reference (with the relative dead-denominator floor
+    # and the square taken as a product, which is exact under scaling by 2**k)
     K = bisp.frames
     floor = EPS_FLOOR * power.max() ** 3
     kept, vals, norms = [], [], []
@@ -191,12 +148,12 @@ def loop_bicoherence(bisp, power):
     for j, k in pg.principal_domain(bisp.fft_len):
         den = power[j] * power[k] * power[j + k]
         s3 = bisp.s3[j, k]
-        var = (bisp.triple_msq[j, k] - abs(s3) ** 2) * K / (K - 1)
+        var = (bisp.triple_msq[j, k] - abs(s3) * abs(s3)) * K / (K - 1)
         if den <= floor or var <= EPS_FLOOR * den or not math.isfinite(var):
             excluded += 1
             continue
         kept.append((j, k))
-        vals.append(abs(s3) ** 2 / den)
+        vals.append(abs(s3) * abs(s3) / den)
         norms.append(var / den)
     return pg.BicoherenceGrid(bisp.fft_len, K, tuple(kept), np.asarray(vals),
                               np.asarray(norms), excluded)
@@ -263,6 +220,35 @@ class TestPrincipalDomainReport:
             assert (rep.dof, rep.pfa) == (base.dof, base.pfa)
             assert rep.bicoherence.points == base.bicoherence.points
             assert rep.avg_kurtosis == pytest.approx(base.avg_kurtosis, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(R=st.integers(8, 40), half=st.integers(4, 40), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_report_is_exact_under_power_of_two_scaling(self, R, half, seed, data):
+        M = 2 * half
+        N = data.draw(st.integers(2, M), label="N")
+        g = np.random.default_rng(seed).gamma(2.0, size=(R, N)) - 2.0
+        # on a 2**-30 grid every value stays exact when scaled down to 2**-1074
+        w = np.round(g * 2.0**30) / 2.0**30
+        vmax = float(np.abs(w).max())
+        k_min = -1044
+        assert vmax * 2.0**k_min < np.finfo(np.float64).smallest_normal
+        # the largest k inside the overflow guard
+        k_max = math.frexp(_SIXTH_ROOT_MAX / (4.0 * N * vmax * R ** (1 / 6)))[1]
+        while 4.0 * N * (vmax * 2.0**k_max) * R ** (1 / 6) >= _SIXTH_ROOT_MAX:
+            k_max -= 1
+        with pytest.raises(pg.DegenerateDataError, match="overflow"):
+            pg.gaussianity_report(pg.Ensemble(np.ldexp(w, k_max + 1)), M)
+        base = pg.gaussianity_report(pg.Ensemble(w), M)
+        for k in (k_min, data.draw(st.integers(k_min, k_max), label="k"), k_max):
+            scaled = np.ldexp(w, k)
+            assert np.array_equal(np.ldexp(scaled, -k), w)  # the scaling itself is exact
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = pg.gaussianity_report(pg.Ensemble(scaled), M)
+            assert (rep.statistic, rep.dof, rep.pfa) == (base.statistic, base.dof, base.pfa)
+            assert rep.avg_kurtosis == base.avg_kurtosis
+            assert_same_grid(rep.bicoherence, base.bicoherence)
 
     def test_overflowing_magnitude_is_degenerate(self):
         w = np.random.default_rng(17).standard_normal((20, 30))

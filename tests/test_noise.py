@@ -125,17 +125,15 @@ class TestDrawNoiseEnsemble:
 
 
 class TestScaleToSnr:
+    """``noise_sigma`` is the factor that scales unit-variance noise to the target SNR."""
+
     def test_zero_db_unit_power_unchanged(self):
-        grid = pg.SampleGrid.uniform(4, 1.0)
-        sig = pg.Sequence(np.ones(4), grid)
-        w = np.array([0.5, -1.0, 2.0, 0.0])
-        npt.assert_allclose(pg.scale_to_snr(w, sig, 0.0), w, atol=1e-15)
+        sig = pg.Sequence(np.ones(4), pg.SampleGrid.uniform(4, 1.0))
+        assert pg.noise_sigma(sig, 0.0) == 1.0
 
     def test_ten_db_variance(self):
-        grid = pg.SampleGrid.uniform(4, 1.0)
-        sig = pg.Sequence(np.ones(4), grid)
-        scaled = pg.scale_to_snr(np.ones(4), sig, 10.0)
-        npt.assert_allclose(scaled**2, 0.1, atol=1e-15)
+        sig = pg.Sequence(np.ones(4), pg.SampleGrid.uniform(4, 1.0))
+        assert pg.noise_sigma(sig, 10.0) ** 2 == pytest.approx(0.1, abs=1e-15)
 
     def test_reference_signal_power_oracle(self):
         grid = pg.SampleGrid.uniform(60, 0.15)
@@ -146,25 +144,4 @@ class TestScaleToSnr:
     def test_zero_signal_rejected(self):
         grid = pg.SampleGrid.uniform(4, 1.0)
         with pytest.raises(pg.UndefinedSnrError):
-            pg.scale_to_snr(np.ones(4), pg.Sequence(np.zeros(4), grid), 10.0)
-
-
-class TestMakeObservation:
-    def test_sum(self):
-        grid = pg.SampleGrid.uniform(2, 1.0)
-        obs = pg.make_observation(pg.Sequence(np.array([1.0, 2.0]), grid), np.zeros(2))
-        npt.assert_array_equal(obs.values, [1.0, 2.0])
-        obs = pg.make_observation(pg.Sequence(np.zeros(2), grid), np.array([3.0, -1.0]))
-        npt.assert_array_equal(obs.values, [3.0, -1.0])
-
-    def test_observation_is_exact_sum(self):
-        grid = pg.SampleGrid.uniform(60, 0.15)
-        g = pg.synth_signal(pg.SignalSpec.reference(), grid)
-        w = pg.scale_to_snr(pg.draw_noise(pg.NoiseSpec("gaussian"), 60, pg.RngStream(9, 0)), g, 10.0)
-        x = pg.make_observation(g, w)
-        npt.assert_array_equal(x.values, g.values + w)
-
-    def test_length_mismatch(self):
-        grid = pg.SampleGrid.uniform(2, 1.0)
-        with pytest.raises(pg.DimensionError):
-            pg.make_observation(pg.Sequence(np.zeros(2), grid), np.zeros(3))
+            pg.noise_sigma(pg.Sequence(np.zeros(4), grid), 10.0)
