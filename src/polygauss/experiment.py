@@ -128,8 +128,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         W = draw_noise_ensemble(spec, config.replications, N, fam_seed) * sigma
         E = _fit(basis.values, basis.norms, W + g.values) - g.values
         try:
-            inp = gaussianity_report(Ensemble(W, grid), config.fft_len, config.bins)
-            out = gaussianity_report(Ensemble(E, grid), config.fft_len, config.bins)
+            inp = gaussianity_report(Ensemble(W), config.fft_len, config.bins)
+            out = gaussianity_report(Ensemble(E), config.fft_len, config.bins)
         except PolygaussError as exc:
             raise type(exc)(f"family {family!r}: {exc}") from exc
         results.append(FamilyResult(family=family, selection=selection,

@@ -21,10 +21,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DegenerateDataError, DimensionError, InsufficientFramesError
-from .ortho import SampleGrid
 
 EPS_FLOOR = 1e-30
-_SIXTH_ROOT_MAX = float(np.finfo(np.float64).max) ** (1 / 6)
 MIN_FRAMES = 8
 # Stirling series of lgamma(a) - ((a - 1/2) ln a - a + ln(2 pi) / 2): B_2k / (2k (2k - 1))
 # times a^(1 - 2k), k = 1..5; the first dropped term is below 2.2e-16 from a = 15 on
@@ -41,7 +39,6 @@ class Ensemble:
     """R independent realizations of a length-N real process."""
 
     values: np.ndarray  # (R, N)
-    grid: SampleGrid | None = None
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
@@ -50,8 +47,6 @@ class Ensemble:
             raise ConfigError("ensemble must be a non-empty R x N table")
         if not np.all(np.isfinite(vals)):
             raise ConfigError("ensemble values must be finite")
-        if self.grid is not None and vals.shape[1] != self.grid.count:
-            raise DimensionError("record length does not match grid count")
 
     @property
     def replications(self) -> int:
@@ -135,7 +130,7 @@ def _validate_fft_len(fft_len: int) -> None:
         raise ConfigError("FFT length must be even and at least 8")
 
 
-def _frames_fft(ensemble: Ensemble, fft_len: int, center_ensemble: bool) -> np.ndarray:
+def _frames_fft(ensemble: Ensemble, fft_len: int) -> np.ndarray:
     _validate_fft_len(fft_len)
     if ensemble.record_length > fft_len:
         raise ConfigError("records longer than the FFT length")
@@ -144,10 +139,9 @@ def _frames_fft(ensemble: Ensemble, fft_len: int, center_ensemble: bool) -> np.n
             f"need at least {MIN_FRAMES} records, got {ensemble.replications}"
         )
     v = ensemble.values
-    if center_ensemble:
-        # Remove the per-index ensemble mean: deterministic structure shared by
-        # all records (e.g. residual fitting bias) is not randomness under test.
-        v = v - v.mean(axis=0, keepdims=True)
+    # Remove the per-index ensemble mean: deterministic structure shared by
+    # all records (e.g. residual fitting bias) is not randomness under test.
+    v = v - v.mean(axis=0, keepdims=True)
     v = v - v.mean(axis=1, keepdims=True)
     return np.fft.fft(v, n=fft_len, axis=1)
 
@@ -156,20 +150,16 @@ def _power(X: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(X[:, : X.shape[1] // 2 + 1]) ** 2, axis=0)
 
 
-def bispectrum_direct(
-    ensemble: Ensemble, fft_len: int, center_ensemble: bool = True
-) -> BispectrumEstimate:
+def bispectrum_direct(ensemble: Ensemble, fft_len: int) -> BispectrumEstimate:
     """Frame-averaged triple-product bispectrum, one frame per record."""
-    X = _frames_fft(ensemble, fft_len, center_ensemble)
+    X = _frames_fft(ensemble, fft_len)
     s3, msq = _kernels.triple_grid(X, fft_len // 2 + 1)
     return BispectrumEstimate(fft_len=fft_len, frames=X.shape[0], s3=s3, triple_msq=msq)
 
 
-def power_spectrum(
-    ensemble: Ensemble, fft_len: int, center_ensemble: bool = True
-) -> np.ndarray:
+def power_spectrum(ensemble: Ensemble, fft_len: int) -> np.ndarray:
     """Frame-averaged |X(j)|^2 on bins 0..M/2, same framing as the bispectrum."""
-    return _power(_frames_fft(ensemble, fft_len, center_ensemble))
+    return _power(_frames_fft(ensemble, fft_len))
 
 
 def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
@@ -204,8 +194,9 @@ def bicoherence(bisp: BispectrumEstimate, power: np.ndarray) -> BicoherenceGrid:
     return _bicoherence(bisp.fft_len, bisp.frames, bisp.s3[j, k], bisp.triple_msq[j, k], power)
 
 
-def hinich_test(bicoh: BicoherenceGrid, frames: int) -> tuple[float, int, float]:
+def hinich_test(bicoh: BicoherenceGrid) -> tuple[float, int, float]:
     """Chi-squared Gaussianity statistic, its degrees of freedom, and the PFA."""
+    frames = bicoh.frames
     if frames < MIN_FRAMES:
         raise InsufficientFramesError(f"need at least {MIN_FRAMES} frames")
     if not _kernels.principal_rows(bicoh.fft_len)[0].size:
@@ -324,24 +315,23 @@ def excess_kurtosis(ensemble: Ensemble) -> float:
     return float(np.mean(m4 / (m2 * m2) - 3.0))
 
 
-def histogram(values, bins: int, value_range: tuple[float, float] | None = None) -> Histogram:
-    """Uniform-bin histogram; out-of-range values are clipped into the end bins."""
+def histogram(values, bins: int) -> Histogram:
+    """Uniform-bin histogram over [min, max] of the values, in their units."""
     v = np.asarray(values, dtype=np.float64).ravel()
     if bins < 1:
         raise ConfigError("need at least one bin")
     if v.size == 0:
         raise ConfigError("histogram needs at least one value")
-    if value_range is None:
-        lo, hi = float(v.min()), float(v.max())
-        if lo == hi:  # all identical: a single occupied unit-width bin range
-            lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = float(value_range[0]), float(value_range[1])
-        if lo >= hi:
-            raise ConfigError("histogram range must have lo < hi")
+    lo, hi = float(v.min()), float(v.max())
+    if lo == hi:  # all identical: a single occupied unit-width bin range
+        lo, hi = lo - 0.5, hi + 0.5
+    # the one magnitude limit of the battery: the edges are in data units
+    if not math.isfinite(hi - lo):
+        raise DegenerateDataError("histogram range max - min overflows float64")
     edges = np.linspace(lo, hi, bins + 1)
     width = (hi - lo) / bins
-    # right-closed bins (lo, edge_1], ..., with clipping into the end bins
+    # right-closed bins (lo, edge_1], ...; the minimum and any rounding past the
+    # ends are clipped into the end bins
     idx = np.ceil((v - lo) / width).astype(int) - 1
     idx = np.clip(idx, 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)
@@ -355,21 +345,16 @@ def gaussianity_report(
 ) -> GaussianityReport:
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
     v = ensemble.values
-    R, N = v.shape
+    R = ensemble.replications
     if np.all(v == v.flat[0]):
         raise DegenerateDataError("ensemble is constant")
-    # After the two mean removals |X_j| <= 4 N max|v|, and the frames' sum of
-    # |X_j X_k X_{j+k}|^2 adds R sixth powers of that bound.
-    vmax = float(np.abs(v).max())
-    if 4.0 * N * vmax * R ** (1 / 6) >= _SIXTH_ROOT_MAX:
-        raise DegenerateDataError("ensemble magnitude overflows the sixth-power moments")
     # every statistic but the histogram, whose edges are in data units, reads the
     # rescaled copy, so it keeps its bits when the data are scaled by a power of two
-    scaled = _unit_scaled(ensemble, vmax)
-    X = _frames_fft(scaled, fft_len, center_ensemble=True)
+    scaled = _unit_scaled(ensemble, float(np.abs(v).max()))
+    X = _frames_fft(scaled, fft_len)
     s3, msq = _kernels.principal_triples(X)
     bicoh = _bicoherence(fft_len, R, s3, msq, _power(X))
-    stat, dof, pfa = hinich_test(bicoh, R)
+    stat, dof, pfa = hinich_test(bicoh)
     kurt = excess_kurtosis(scaled)
     hist = histogram(v, bins)
     return GaussianityReport(

@@ -82,8 +82,10 @@ def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
     """Evaluate the damped-cosine sum on the grid (all zeros for an empty spec)."""
     t = grid.points
     g = np.zeros_like(t)
-    for amp, damp, omega, phase in spec.components:
-        g += amp * np.exp(damp * t) * np.cos(omega * t + phase)
+    # an overflow leaves inf or nan, which Sequence rejects as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for amp, damp, omega, phase in spec.components:
+            g += amp * np.exp(damp * t) * np.cos(omega * t + phase)
     return Sequence(g, grid)
 
 
@@ -195,4 +197,7 @@ def noise_sigma(signal: Sequence, snr_db: float) -> float:
     power = float(np.mean(signal.values**2))
     if power == 0.0:
         raise UndefinedSnrError("SNR undefined for an all-zero signal")
-    return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+    try:
+        return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+    except OverflowError:  # 10 ** 309 and up: no finite noise reaches so low an SNR
+        return math.inf

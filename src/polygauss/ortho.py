@@ -78,7 +78,6 @@ class Sequence:
 @dataclass(frozen=True)
 class PolynomialBasis:
     grid: SampleGrid
-    order: int
     values: np.ndarray        # (J, N), row j holds p_j evaluated on the grid
     norms: np.ndarray         # (J,) squared norms q_j
     recurrence_a: np.ndarray
@@ -104,13 +103,14 @@ def build_basis(grid: SampleGrid, order: int) -> PolynomialBasis:
     N = grid.count
     if not 1 <= order <= N:
         raise OrderRangeError(f"order {order} outside [1, {N}]")
-    P, q, a, b = _kernels.gram_recurrence(grid.points, order)
+    # overflow or nan in the recurrence is what the finiteness check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, q, a, b = _kernels.gram_recurrence(grid.points, order)
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q))):
         raise DegenerateGridError("recurrence produced non-finite values")
     if np.any(q <= _Q_FLOOR):
         raise DegenerateGridError("polynomial norm underflow; grid is numerically degenerate")
-    return PolynomialBasis(grid=grid, order=order, values=P, norms=q,
-                           recurrence_a=a, recurrence_b=b)
+    return PolynomialBasis(grid=grid, values=P, norms=q, recurrence_a=a, recurrence_b=b)
 
 
 def projection_operator(basis: PolynomialBasis) -> ProjectionOperator:

@@ -61,6 +61,17 @@ class TestGenSignal:
         assert "--component" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_component_one_error_line(self, tmp_path, capsys):
+        # exp(1000 t) overflows; the finiteness check reports it without a RuntimeWarning
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("gen-signal", "--n", "100", "--dt", "1", "--component", "1,1000,1,0",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sequence values must be finite\n"
+        assert not out.exists()
+
 
 class TestTransform:
     def write_seq(self, tmp_path, values, dt=1.0):
@@ -118,6 +129,21 @@ class TestTransform:
         assert "risk curve" in captured
         _, fit = read_table_csv(out)
         npt.assert_allclose(fit.values, 2.0 + grid.points, atol=0.02)
+
+    def test_overflowing_recurrence_one_error_line(self, tmp_path, capsys):
+        # over 9 s the top orders of the recurrence overflow; the basis check reports
+        # it without a RuntimeWarning
+        src, out = tmp_path / "sig.csv", tmp_path / "out.csv"
+        assert run("gen-signal", "--n", "1000", "--dt", "0.009", "--paper-signal",
+                   "--out", str(src)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("transform", "--in", str(src), "--order", "auto", "--sigma2", "0.01",
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "risk curve" not in captured.out
+        assert not out.exists()
 
     def test_roundtrip_value_identical(self, tmp_path):
         vals = np.random.default_rng(2).standard_normal(10)
@@ -185,7 +211,9 @@ class TestTestCommand:
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_overflowing_ensemble_degenerate(self, tmp_path, capsys):
-        table = np.random.default_rng(7).standard_normal((20, 30)) * 1e200
+        # finite values whose max - min is past the largest float64
+        table = np.random.default_rng(7).standard_normal((20, 30))
+        table = table / np.abs(table).max() * 1.5e308
         src = self.write_ensemble(tmp_path, table)
         out_dir = tmp_path / "rep"
         with warnings.catch_warnings():
@@ -196,6 +224,20 @@ class TestTestCommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "overflow" in captured.err
         assert not out_dir.exists()
+
+    def test_huge_ensemble_reports(self, tmp_path):
+        # every moment is formed on a copy rescaled to unit scale
+        table = np.random.default_rng(7).standard_normal((20, 30))
+        src = self.write_ensemble(tmp_path, table * 1e200)
+        out_dir = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("test", "--in", src, "--out-dir", str(out_dir)) == 0
+        doc = json.loads((out_dir / "report.json").read_text())
+        rep = pg.gaussianity_report(pg.Ensemble(table))
+        assert doc["dof"] == rep.dof
+        assert doc["S"] == pytest.approx(rep.statistic, rel=1e-9)
+        assert doc["kurtosis"] == pytest.approx(rep.avg_kurtosis, rel=1e-12)
 
     def test_long_sequence_segmented(self, tmp_path):
         grid = pg.SampleGrid.uniform(1024, 1.0)
@@ -429,6 +471,17 @@ class TestSimulate:
                    "--snr-db", "nan", "--out-dir", str(out_dir)) == 1
         err = capsys.readouterr().err
         assert "SNR" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("snr_db", ["-3090", "-1e308"])
+    def test_overflowing_noise_level_degenerate(self, tmp_path, capsys, snr_db):
+        # 10 ** 309 and up overflows: no finite noise reaches the SNR
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--reps", "16", "--seed", "1",
+                   f"--snr-db={snr_db}", "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "noise variance" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag,value,named", [

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import polygauss as pg
 from polygauss import _kernels
-from polygauss.gaussianity import _SIXTH_ROOT_MAX, EPS_FLOOR, _frames_fft
+from polygauss.gaussianity import EPS_FLOOR, _frames_fft
 
 
 def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
@@ -43,7 +43,7 @@ class TestBispectrum:
         ens = pg.Ensemble(rng.standard_normal((16, 30)))
         bisp = pg.bispectrum_direct(ens, 32)
         npt.assert_array_equal(bisp.triple_msq, bisp.triple_msq.T)
-        s3, msq = _kernels.triple_grid(_frames_fft(ens, 32, True), 17)
+        s3, msq = _kernels.triple_grid(_frames_fft(ens, 32), 17)
         lower = np.tril_indices(17)
         npt.assert_array_equal(bisp.s3[lower], s3[lower])
         npt.assert_array_equal(bisp.triple_msq[lower], msq[lower])
@@ -96,12 +96,14 @@ class TestPowerSpectrum:
         v = rng.standard_normal((32, 64))
         ens = pg.Ensemble(v)
         M = 64
-        spec = pg.power_spectrum(ens, M, center_ensemble=False)
-        # (1/M) sum over all M bins of |X|^2 equals the centered record energy
+        spec = pg.power_spectrum(ens, M)
+        # (1/M) sum over all M bins of |X|^2 equals the record energy after the
+        # per-index and then the per-record mean removal
         weights = np.full(M // 2 + 1, 2.0)
         weights[0] = weights[-1] = 1.0
         lhs = (weights * spec).sum() / M
-        centered = v - v.mean(axis=1, keepdims=True)
+        centered = v - v.mean(axis=0, keepdims=True)
+        centered = centered - centered.mean(axis=1, keepdims=True)
         rhs = np.mean(np.sum(centered**2, axis=1))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -233,12 +235,12 @@ class TestPrincipalDomainReport:
         vmax = float(np.abs(w).max())
         k_min = -1044
         assert vmax * 2.0**k_min < np.finfo(np.float64).smallest_normal
-        # the largest k inside the overflow guard
-        k_max = math.frexp(_SIXTH_ROOT_MAX / (4.0 * N * vmax * R ** (1 / 6)))[1]
-        while 4.0 * N * (vmax * 2.0**k_max) * R ** (1 / 6) >= _SIXTH_ROOT_MAX:
-            k_max -= 1
-        with pytest.raises(pg.DegenerateDataError, match="overflow"):
-            pg.gaussianity_report(pg.Ensemble(np.ldexp(w, k_max + 1)), M)
+        # the largest k at which the values and the histogram range max - min stay
+        # finite; x * 2**k is finite while frexp(x)[1] + k <= 1024
+        k_max = 1024 - math.frexp(max(float(w.max() - w.min()), vmax))[1]
+        if math.frexp(vmax)[1] + k_max < 1024:  # one step on, finite values overflow the range
+            with pytest.raises(pg.DegenerateDataError, match="overflow"):
+                pg.gaussianity_report(pg.Ensemble(np.ldexp(w, k_max + 1)), M)
         base = pg.gaussianity_report(pg.Ensemble(w), M)
         for k in (k_min, data.draw(st.integers(k_min, k_max), label="k"), k_max):
             scaled = np.ldexp(w, k)
@@ -251,26 +253,47 @@ class TestPrincipalDomainReport:
             assert_same_grid(rep.bicoherence, base.bicoherence)
 
     def test_overflowing_magnitude_is_degenerate(self):
+        # finite values whose max - min is past the largest float64: the histogram,
+        # whose edges are in data units, cannot be formed
         w = np.random.default_rng(17).standard_normal((20, 30))
+        span = float(w.max()) - float(w.min())
+        over = w / np.abs(w).max() * 1.5e308
+        assert math.isinf(float(over.max()) - float(over.min()))
         with pytest.raises(pg.DegenerateDataError, match="overflow"):
-            pg.gaussianity_report(pg.Ensemble(w * 1e200))
-        # just inside the bound every moment stays finite (a RuntimeWarning fails the test)
-        inside = 0.99 * _SIXTH_ROOT_MAX / (4 * 30 * 20 ** (1 / 6))
-        rep = pg.gaussianity_report(pg.Ensemble(w / np.abs(w).max() * inside))
+            pg.gaussianity_report(pg.Ensemble(over))
+        # just inside the bound the whole report is finite (a RuntimeWarning fails the test)
+        rep = pg.gaussianity_report(pg.Ensemble(w / span * 1.79e308))
         assert math.isfinite(rep.statistic) and math.isfinite(rep.avg_kurtosis)
+        assert np.all(np.isfinite(rep.histogram.edges))
+
+    def test_huge_magnitude_keeps_the_report(self):
+        # the unit-variance gamma(2) ensemble that a sixth-power bound once rejected
+        # from 2**160 on: every moment is formed on the copy rescaled to unit scale
+        w = np.random.default_rng(16).gamma(2.0, size=(500, 60))
+        w = (w - 2.0) / math.sqrt(2.0)
+        base = pg.gaussianity_report(pg.Ensemble(w), 64)
+        for k in (160, 1000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = pg.gaussianity_report(pg.Ensemble(np.ldexp(w, k)), 64)
+            assert (rep.statistic, rep.dof, rep.pfa) == (base.statistic, base.dof, base.pfa)
+            assert rep.avg_kurtosis == base.avg_kurtosis
+            assert_same_grid(rep.bicoherence, base.bicoherence)
+            npt.assert_array_equal(rep.histogram.counts, base.histogram.counts)
+            npt.assert_array_equal(rep.histogram.edges, np.ldexp(base.histogram.edges, k))
 
     def test_empty_domain_rejected(self):
         grid = pg.BicoherenceGrid(fft_len=4, frames=8, points=(), values=np.zeros(0),
                                   normalizer=np.zeros(0), excluded=0)
         with pytest.raises(pg.ConfigError):
-            pg.hinich_test(grid, 8)
+            pg.hinich_test(grid)
 
 
 class TestHinich:
     def test_zero_grid_gives_pfa_one(self):
         grid = pg.BicoherenceGrid(fft_len=64, frames=64, points=((1, 1), (2, 1)),
                                   values=np.zeros(2), normalizer=np.ones(2), excluded=0)
-        stat, dof, pfa = pg.hinich_test(grid, 64)
+        stat, dof, pfa = pg.hinich_test(grid)
         assert stat == 0.0
         assert dof == 4
         assert pfa == 1.0
@@ -295,7 +318,7 @@ class TestHinich:
         grid = pg.BicoherenceGrid(fft_len=64, frames=4, points=((1, 1),),
                                   values=np.zeros(1), normalizer=np.ones(1), excluded=0)
         with pytest.raises(pg.InsufficientFramesError):
-            pg.hinich_test(grid, 4)
+            pg.hinich_test(grid)
 
 
 class TestChi2Survival:
@@ -443,7 +466,8 @@ class TestExcessKurtosis:
 
 class TestHistogram:
     def test_worked_binning(self):
-        h = pg.histogram([0.0, 0.5, 1.0], 2, (0.0, 1.0))
+        h = pg.histogram([0.0, 0.5, 1.0], 2)
+        npt.assert_array_equal(h.edges, [0.0, 0.5, 1.0])
         npt.assert_array_equal(h.counts, [2, 1])
 
     def test_identical_values(self):
@@ -452,8 +476,11 @@ class TestHistogram:
         assert np.count_nonzero(h.counts) == 1
 
     def test_clipping(self):
-        h = pg.histogram([-10.0, 0.5, 10.0], 2, (0.0, 1.0))
-        npt.assert_array_equal(h.counts, [2, 1])
+        # the minimum sits on the left edge of the right-closed bins, one index
+        # before the first bin, and is clipped into it
+        h = pg.histogram([-10.0, 0.5, 10.0], 2)
+        npt.assert_array_equal(h.edges, [-10.0, 0.0, 10.0])
+        npt.assert_array_equal(h.counts, [1, 2])
         assert h.total == 3
 
     def test_normal_cdf_oracle(self):
@@ -461,7 +488,7 @@ class TestHistogram:
 
         rng = np.random.default_rng(19)
         v = rng.standard_normal(10**6)
-        h = pg.histogram(v, 50, (-4.0, 4.0))
+        h = pg.histogram(v, 50)
         cdf = lambda x: 0.5 * (1 + erf(x / math.sqrt(2)))
         for i in range(1, 49):  # interior bins: clipping does not disturb them
             p = cdf(h.edges[i + 1]) - cdf(h.edges[i])
@@ -476,9 +503,13 @@ class TestHistogram:
         h = pg.histogram(values, bins)
         assert h.total == len(values)
 
-    def test_bad_range(self):
-        with pytest.raises(pg.ConfigError):
-            pg.histogram([1.0], 2, (1.0, 1.0))
+    def test_overflowing_range(self):
+        # 600 finite values spanning +-1.7e308: max - min is past the largest float64
+        v = np.linspace(-1.0, 1.0, 600) * 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pg.DegenerateDataError, match="overflow"):
+                pg.histogram(v, 20)
 
 
 class TestSegmentRecord:

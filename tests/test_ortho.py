@@ -316,8 +316,6 @@ class TestSelectOrder:
             [(j, r.hex()) for j, r in reference]
         assert sel.chosen == min(reference, key=lambda jr: (jr[1], jr[0]))[0]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("points,j_range", [
         (np.arange(40) * 1e-30, range(1, 13)),   # norms underflow
         (np.arange(500) * 9.0 / 500, None),      # values overflow at the top order
