@@ -21,18 +21,14 @@ from .experiment import (
 )
 from .gaussianity import (
     BicoherenceGrid,
-    BispectrumEstimate,
     Ensemble,
     GaussianityReport,
     Histogram,
-    bicoherence,
-    bispectrum_direct,
     chi2_survival,
     excess_kurtosis,
     gaussianity_report,
     hinich_test,
     histogram,
-    power_spectrum,
     principal_domain,
     segment_record,
 )

@@ -1,10 +1,11 @@
 """Higher-order-spectrum Gaussianity testing for ensembles of short records.
 
-The test battery follows the classic bicoherence route: per-record FFTs, a
-frame-averaged triple-product bispectrum estimate, squared bicoherence over
-the principal bifrequency domain, and a chi-squared statistic whose survival
-probability (PFA) is high when Gaussianity cannot be rejected.  Average excess
-kurtosis and histograms complete the battery.
+The test battery follows the classic bicoherence route: per-record FFTs,
+frame-averaged triple products at the points of the principal bifrequency
+domain (the only bispectrum points the test reads), their squared
+bicoherence, and a chi-squared statistic whose survival probability (PFA) is
+high when Gaussianity cannot be rejected.  Average excess kurtosis and
+histograms complete the battery.
 
 Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, DegenerateDataError, DimensionError, InsufficientFramesError
+from .errors import ConfigError, DegenerateDataError, InsufficientFramesError
 
 EPS_FLOOR = 1e-30
 MIN_FRAMES = 8
@@ -83,16 +84,6 @@ def principal_domain(fft_len: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class BispectrumEstimate:
-    fft_len: int
-    frames: int
-    # Both grids are exactly symmetric: the kernel computes the lower triangle
-    # (k <= j) and mirrors it onto the upper one.
-    s3: np.ndarray          # (M/2+1, M/2+1) complex mean X_j X_k conj(X_{j+k})
-    triple_msq: np.ndarray  # mean |X_j X_k conj(X_{j+k})|^2 on the same grid
-
-
-@dataclass(frozen=True)
 class BicoherenceGrid:
     fft_len: int
     frames: int
@@ -150,18 +141,6 @@ def _power(X: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(X[:, : X.shape[1] // 2 + 1]) ** 2, axis=0)
 
 
-def bispectrum_direct(ensemble: Ensemble, fft_len: int) -> BispectrumEstimate:
-    """Frame-averaged triple-product bispectrum, one frame per record."""
-    X = _frames_fft(ensemble, fft_len)
-    s3, msq = _kernels.triple_grid(X, fft_len // 2 + 1)
-    return BispectrumEstimate(fft_len=fft_len, frames=X.shape[0], s3=s3, triple_msq=msq)
-
-
-def power_spectrum(ensemble: Ensemble, fft_len: int) -> np.ndarray:
-    """Frame-averaged |X(j)|^2 on bins 0..M/2, same framing as the bispectrum."""
-    return _power(_frames_fft(ensemble, fft_len))
-
-
 def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
     # s3, msq: frame means at the principal-domain points, in _principal_index order
     j, k = _principal_index(fft_len)
@@ -183,15 +162,6 @@ def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
         normalizer=var[keep] / den,
         excluded=int(keep.size - np.count_nonzero(keep)),
     )
-
-
-def bicoherence(bisp: BispectrumEstimate, power: np.ndarray) -> BicoherenceGrid:
-    """Squared bicoherence with per-point variance normalizers on the principal domain."""
-    power = np.asarray(power, dtype=np.float64)
-    if power.shape != (bisp.fft_len // 2 + 1,):
-        raise DimensionError("power grid length does not match the bispectrum FFT length")
-    j, k = _principal_index(bisp.fft_len)
-    return _bicoherence(bisp.fft_len, bisp.frames, bisp.s3[j, k], bisp.triple_msq[j, k], power)
 
 
 def hinich_test(bicoh: BicoherenceGrid) -> tuple[float, int, float]:
@@ -323,16 +293,20 @@ def histogram(values, bins: int) -> Histogram:
     if v.size == 0:
         raise ConfigError("histogram needs at least one value")
     lo, hi = float(v.min()), float(v.max())
-    if lo == hi:  # all identical: a single occupied unit-width bin range
-        lo, hi = lo - 0.5, hi + 0.5
+    if lo == hi:  # all identical: a unit-width range, or bins at least one ulp wide
+        pad = max(0.5, bins * math.ulp(lo))
+        lo, hi = lo - pad, hi + pad
     # the one magnitude limit of the battery: the edges are in data units
     if not math.isfinite(hi - lo):
         raise DegenerateDataError("histogram range max - min overflows float64")
     edges = np.linspace(lo, hi, bins + 1)
-    width = (hi - lo) / bins
+    # the offsets and the range are scaled by the power of two that puts the range
+    # into [1/2, 1), so a bin width below the smallest float64 does not round to 0
+    e = math.frexp(hi - lo)[1]
+    width = math.ldexp(hi - lo, -e) / bins
     # right-closed bins (lo, edge_1], ...; the minimum and any rounding past the
     # ends are clipped into the end bins
-    idx = np.ceil((v - lo) / width).astype(int) - 1
+    idx = np.ceil(np.ldexp(v - lo, -e) / width).astype(int) - 1
     idx = np.clip(idx, 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)
     return Histogram(edges=edges, counts=counts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedSnrError
+from .errors import ConfigError, DegenerateDataError, UndefinedSnrError
 from .ortho import SampleGrid, Sequence
 
 NOISE_FAMILIES = ("gaussian", "laplacian", "uniform", "gamma")
@@ -193,10 +193,20 @@ def draw_noise_ensemble(spec: NoiseSpec, replications: int, n: int, seed: int) -
 
 
 def noise_sigma(signal: Sequence, snr_db: float) -> float:
-    """Noise standard deviation implied by the signal power and target SNR."""
-    power = float(np.mean(signal.values**2))
-    if power == 0.0:
+    """Noise standard deviation implied by the signal power and target SNR.
+
+    The power is formed in data units, as the oracle risk of the order selection
+    is, so a nonzero signal whose power underflows to 0 or overflows float64 is
+    rejected as degenerate data.
+    """
+    if not np.any(signal.values):
         raise UndefinedSnrError("SNR undefined for an all-zero signal")
+    with np.errstate(over="ignore"):
+        power = float(np.mean(signal.values**2))
+    if power == 0.0:
+        raise DegenerateDataError("signal power underflows float64: the signal is too small")
+    if power == math.inf:
+        raise DegenerateDataError("signal power overflows float64: the signal is too large")
     try:
         return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
     except OverflowError:  # 10 ** 309 and up: no finite noise reaches so low an SNR

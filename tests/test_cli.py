@@ -484,6 +484,23 @@ class TestSimulate:
         assert "noise variance" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("amplitude,code,message", [
+        ("1e-200", 2, "signal power underflows float64"),
+        ("2e154", 2, "signal power overflows float64"),
+        ("1e200", 2, "signal power overflows float64"),
+        ("0", 1, "SNR undefined for an all-zero signal"),
+    ])
+    def test_signal_power_limits(self, tmp_path, capsys, amplitude, code, message):
+        # the signal power and the oracle risk are formed in data units
+        out_dir = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--component", f"{amplitude},0,1,0", "--noise", "gaussian",
+                       "--reps", "16", "--seed", "1", "--out-dir", str(out_dir)) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag,value,named", [
         ("--fft-len", "3", "FFT length"),
         ("--fft-len", "8", "FFT length"),  # shorter than the 60-point records

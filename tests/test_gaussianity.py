@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import polygauss as pg
 from polygauss import _kernels
-from polygauss.gaussianity import EPS_FLOOR, _frames_fft
+from polygauss.gaussianity import EPS_FLOOR, _bicoherence, _frames_fft, _power
 
 
 def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
@@ -26,36 +26,21 @@ def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
     return pg.Ensemble(np.cos(t1) + np.cos(t2) + np.cos(t1 + t2))
 
 
+def ensemble_triples(ens, fft_len):
+    return _kernels.principal_triples(_frames_fft(ens, fft_len))
+
+
 class TestBispectrum:
     def test_zero_ensemble_zero_grid(self):
-        ens = pg.Ensemble(np.zeros((8, 16)))
-        bisp = pg.bispectrum_direct(ens, 16)
-        npt.assert_array_equal(bisp.s3, np.zeros_like(bisp.s3))
-
-    def test_symmetry_exact(self):
-        rng = np.random.default_rng(4)
-        ens = pg.Ensemble(rng.standard_normal((16, 30)))
-        bisp = pg.bispectrum_direct(ens, 32)
-        npt.assert_array_equal(bisp.s3, bisp.s3.T)
-
-    def test_mirror_keeps_computed_lower_triangle(self):
-        rng = np.random.default_rng(4)
-        ens = pg.Ensemble(rng.standard_normal((16, 30)))
-        bisp = pg.bispectrum_direct(ens, 32)
-        npt.assert_array_equal(bisp.triple_msq, bisp.triple_msq.T)
-        s3, msq = _kernels.triple_grid(_frames_fft(ens, 32), 17)
-        lower = np.tril_indices(17)
-        npt.assert_array_equal(bisp.s3[lower], s3[lower])
-        npt.assert_array_equal(bisp.triple_msq[lower], msq[lower])
+        s3, msq = ensemble_triples(pg.Ensemble(np.zeros((8, 16))), 16)
+        npt.assert_array_equal(s3, np.zeros_like(s3))
 
     def test_uncoupled_tone_averages_out(self):
         rng = np.random.default_rng(5)
         n = np.arange(60)
         ph = rng.uniform(0, 2 * np.pi, 512)[:, None]
         ens = pg.Ensemble(np.cos(2 * np.pi * 6 * n / 64 + ph))
-        bisp = pg.bispectrum_direct(ens, 64)
-        D = pg.principal_domain(64)
-        mags = np.array([abs(bisp.s3[j, k]) for j, k in D])
+        mags = np.abs(ensemble_triples(ens, 64)[0])
         # no phase coupling: triple products decay with averaging
         single = np.cos(2 * np.pi * 6 * n / 64)
         X = np.fft.fft(single - single.mean(), 64)
@@ -64,30 +49,32 @@ class TestBispectrum:
 
     def test_coupled_triad_peaks_at_pair(self):
         ens = triad_ensemble(np.random.default_rng(6), reps=256)
-        bisp = pg.bispectrum_direct(ens, 64)
-        D = pg.principal_domain(64)
-        mags = {pt: abs(bisp.s3[pt]) for pt in D}
-        assert max(mags, key=mags.get) == (5, 3)
+        mags = np.abs(ensemble_triples(ens, 64)[0])
+        assert pg.principal_domain(64)[int(np.argmax(mags))] == (5, 3)
 
     def test_config_errors(self):
         ens = pg.Ensemble(np.zeros((16, 16)))
         with pytest.raises(pg.ConfigError):
-            pg.bispectrum_direct(ens, 17)
+            _frames_fft(ens, 17)
         with pytest.raises(pg.ConfigError):
-            pg.bispectrum_direct(ens, 6)
+            _frames_fft(ens, 6)
         with pytest.raises(pg.InsufficientFramesError):
-            pg.bispectrum_direct(pg.Ensemble(np.zeros((4, 16))), 16)
+            _frames_fft(pg.Ensemble(np.zeros((4, 16))), 16)
+
+
+def power_spectrum(ens, fft_len):
+    return _power(_frames_fft(ens, fft_len))
 
 
 class TestPowerSpectrum:
     def test_zero_ensemble(self):
-        spec = pg.power_spectrum(pg.Ensemble(np.zeros((8, 16))), 16)
+        spec = power_spectrum(pg.Ensemble(np.zeros((8, 16))), 16)
         npt.assert_array_equal(spec, np.zeros(9))
 
     def test_tone_concentrates(self):
         n = np.arange(64)
         ph = np.random.default_rng(7).uniform(0, 2 * np.pi, 64)[:, None]
-        spec = pg.power_spectrum(pg.Ensemble(np.cos(2 * np.pi * 5 * n / 64 + ph)), 64)
+        spec = power_spectrum(pg.Ensemble(np.cos(2 * np.pi * 5 * n / 64 + ph)), 64)
         assert np.argmax(spec) == 5
         assert spec[5] > 100 * np.sort(spec)[-2]
 
@@ -96,7 +83,7 @@ class TestPowerSpectrum:
         v = rng.standard_normal((32, 64))
         ens = pg.Ensemble(v)
         M = 64
-        spec = pg.power_spectrum(ens, M)
+        spec = power_spectrum(ens, M)
         # (1/M) sum over all M bins of |X|^2 equals the record energy after the
         # per-index and then the per-record mean removal
         weights = np.full(M // 2 + 1, 2.0)
@@ -111,53 +98,43 @@ class TestPowerSpectrum:
 class TestBicoherence:
     def test_zero_bispectrum_zero_grid(self):
         rng = np.random.default_rng(9)
-        ens = pg.Ensemble(rng.standard_normal((32, 30)))
-        bisp = pg.bispectrum_direct(ens, 32)
-        power = pg.power_spectrum(ens, 32)
-        zeroed = pg.BispectrumEstimate(bisp.fft_len, bisp.frames,
-                                       np.zeros_like(bisp.s3), bisp.triple_msq)
-        grid = pg.bicoherence(zeroed, power)
+        X = _frames_fft(pg.Ensemble(rng.standard_normal((32, 30))), 32)
+        s3, msq = _kernels.principal_triples(X)
+        grid = _bicoherence(32, 32, np.zeros_like(s3), msq, _power(X))
         npt.assert_array_equal(grid.values, np.zeros(len(grid.points)))
 
     def test_nonnegative_and_domain(self):
         rng = np.random.default_rng(10)
-        ens = pg.Ensemble(rng.standard_normal((64, 60)))
-        grid = pg.bicoherence(pg.bispectrum_direct(ens, 64), pg.power_spectrum(ens, 64))
+        grid = pg.gaussianity_report(pg.Ensemble(rng.standard_normal((64, 60))), 64).bicoherence
         assert np.all(grid.values >= 0)
         for j, k in grid.points:
             assert 1 <= k <= j and j + k <= 31
 
     def test_triad_maximum_location(self):
         ens = triad_ensemble(np.random.default_rng(11), reps=256)
-        grid = pg.bicoherence(pg.bispectrum_direct(ens, 64), pg.power_spectrum(ens, 64))
+        grid = pg.gaussianity_report(ens, 64).bicoherence
         assert grid.points[int(np.argmax(grid.values))] == (5, 3)
 
-    def test_mismatched_power_grid(self):
-        ens = pg.Ensemble(np.random.default_rng(12).standard_normal((16, 30)))
-        bisp = pg.bispectrum_direct(ens, 32)
-        with pytest.raises(pg.DimensionError):
-            pg.bicoherence(bisp, np.ones(10))
 
-
-def loop_bicoherence(bisp, power):
-    # the per-point scalar formula that bicoherence evaluated before it became
-    # array code, kept as the reference (with the relative dead-denominator floor
-    # and the square taken as a product, which is exact under scaling by 2**k)
-    K = bisp.frames
+def loop_bicoherence(fft_len, K, s3_grid, msq_grid, power):
+    # the per-point scalar formula of the squared bicoherence, kept as the
+    # reference for the array code (with the relative dead-denominator floor and
+    # the square taken as a product, which is exact under scaling by 2**k); it
+    # reads the principal points off the full triple-product grid
     floor = EPS_FLOOR * power.max() ** 3
     kept, vals, norms = [], [], []
     excluded = 0
-    for j, k in pg.principal_domain(bisp.fft_len):
+    for j, k in pg.principal_domain(fft_len):
         den = power[j] * power[k] * power[j + k]
-        s3 = bisp.s3[j, k]
-        var = (bisp.triple_msq[j, k] - abs(s3) * abs(s3)) * K / (K - 1)
+        s3 = s3_grid[j, k]
+        var = (msq_grid[j, k] - abs(s3) * abs(s3)) * K / (K - 1)
         if den <= floor or var <= EPS_FLOOR * den or not math.isfinite(var):
             excluded += 1
             continue
         kept.append((j, k))
         vals.append(abs(s3) * abs(s3) / den)
         norms.append(var / den)
-    return pg.BicoherenceGrid(bisp.fft_len, K, tuple(kept), np.asarray(vals),
+    return pg.BicoherenceGrid(fft_len, K, tuple(kept), np.asarray(vals),
                               np.asarray(norms), excluded)
 
 
@@ -179,22 +156,15 @@ class TestPrincipalDomainReport:
 
     @settings(max_examples=40, deadline=None)
     @given(R=st.integers(8, 40), half=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
-    def test_report_matches_full_grid_and_point_loop(self, R, half, seed):
+    def test_report_matches_full_grid_and_point_loop(self, sequential_triple_grid,
+                                                     R, half, seed):
         M = 2 * half
         rng = np.random.default_rng(seed)
         ens = pg.Ensemble(rng.gamma(2.0, size=(R, int(rng.integers(2, M + 1)))))
         got = pg.gaussianity_report(ens, M).bicoherence
-        bisp, power = pg.bispectrum_direct(ens, M), pg.power_spectrum(ens, M)
-        assert_same_grid(got, pg.bicoherence(bisp, power))
-        assert_same_grid(got, loop_bicoherence(bisp, power))
-
-    def test_report_never_forms_full_grid(self, monkeypatch):
-        def full_grid(X, F):
-            raise AssertionError("gaussianity_report formed the full triple-product grid")
-
-        monkeypatch.setattr(_kernels, "triple_grid", full_grid)
-        rep = pg.gaussianity_report(triad_ensemble(np.random.default_rng(15)), fft_len=64)
-        assert rep.pfa < 0.01
+        X = _frames_fft(ens, M)
+        s3, msq = sequential_triple_grid(X, half + 1)
+        assert_same_grid(got, loop_bicoherence(M, R, s3, msq, _power(X)))
 
     def test_dead_denominator_floor_is_scale_free(self):
         w = np.random.default_rng(16).gamma(2.0, size=(500, 60))
@@ -474,6 +444,20 @@ class TestHistogram:
         h = pg.histogram([3.0] * 7, 4)
         assert h.total == 7
         assert np.count_nonzero(h.counts) == 1
+        assert (h.edges[0], h.edges[-1]) == (2.5, 3.5)
+
+    def test_identical_values_past_half_an_ulp(self):
+        # 1e17 +- 0.5 rounds back to 1e17; the range is widened by whole ulps instead
+        h = pg.histogram([1e17] * 7, 20)
+        assert np.all(np.diff(h.edges) > 0)
+        npt.assert_array_equal(h.counts, [0] * 9 + [7] + [0] * 10)
+
+    def test_subnormal_range(self):
+        # max - min = 5e-324, so (max - min) / bins rounds to 0 in data units
+        v = np.zeros(480)
+        v[np.random.default_rng(21).permutation(480)[:262]] = 5e-324
+        rep = pg.gaussianity_report(pg.Ensemble(v.reshape(16, 30)))
+        npt.assert_array_equal(rep.histogram.counts, [218] + [0] * 18 + [262])
 
     def test_clipping(self):
         # the minimum sits on the left edge of the right-closed bins, one index

@@ -1,0 +1,67 @@
+"""The outputs a fixed seed must reproduce, pinned by their sha256 digests.
+
+A change that claims "same results" keeps these digests.  A change that moves a
+value on purpose updates them, and its CHANGES.md entry names the keys that
+moved and by how much.  The digests were recorded under the numpy release named
+in ``NUMPY``; another numpy major.minor may round an FFT or a sum differently, so
+there the tests skip.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from polygauss.cli import main
+
+# recorded with numpy 2.4.6 and Python 3.11.7 on x86-64 Linux
+NUMPY = "2.4"
+
+SIMULATE_DIGESTS = {
+    "gamma_input_bicoherence.csv": "1d5479f68c2b1e5e9936c76bb5634d12568429ee8d1e329da69c37729c746829",
+    "gamma_input_histogram.csv": "9d6edab6dd5685fb0a21b8f002c6bd95771d311e724caab9c6487316e8f15363",
+    "gamma_output_bicoherence.csv": "d9a0accfb778155bc45a10a48fb77739fdbe6902b419588d6790005b8d7748dc",
+    "gamma_output_histogram.csv": "4791f3442067f87e2f0db42a98bc84f9d2375a5400dee275dc17699c6f7d638f",
+    "gaussian_input_bicoherence.csv": "363ffd7b5db94651e212a5b751c85d9b1c7a51e3b7254e70bb814dadfcaade91",
+    "gaussian_input_histogram.csv": "50fec1a55215509b6e2272998bea6dad0ff83f65130610a82ff391636af6e5b7",
+    "gaussian_output_bicoherence.csv": "76b53a1c2445c1dc6aaf88cf2117bf8d62494a71192ccb559026f23927b24e8b",
+    "gaussian_output_histogram.csv": "36892340b88d214a69479649bec8e4ac8edc7f5e0449ece90f88f502563a089d",
+    "laplacian_input_bicoherence.csv": "d36a43175c7f9a2fbbd6868f87d554efb1b86fc6c48d1e50cbbf3c50613713b9",
+    "laplacian_input_histogram.csv": "f4a056b0803a45d6af318a2d020fcb74e75122d0509a50f7ee4987cc5febfa82",
+    "laplacian_output_bicoherence.csv": "8cd445e551e0709d31a10a9d05303b0d1a43fdadb94e10137916a3e138320910",
+    "laplacian_output_histogram.csv": "3e43afad560980628ad349b24aedd8963343098c2c96555406fb5e4ac77d2c1c",
+    "summary.json": "c57baf9c656b5a72051f439f159462ea8a9663b2b17fe4ba49c7b92ff48ae413",
+    "uniform_input_bicoherence.csv": "34fe2664540c17104821b71ce798c240d84aad9c6ee145e2cc6b74764518e89f",
+    "uniform_input_histogram.csv": "2a7bf1e9de44b318b371718a7efeff5208cb4721db9db4b6653ab163e81c2ba9",
+    "uniform_output_bicoherence.csv": "65d4f78c9834e1dd8173a83d3b23abe4c404fc1c47c273e86c1972b4d89ab97a",
+    "uniform_output_histogram.csv": "a8cd2abca5605df672554a969df69ee14187f6d5f241e8e00849e9901042a417",
+}
+
+TEST_REPORT_DIGEST = "83a8dfc0f55513b84119529b87a659fe6cbadcce3179fd19f8bbedfea120b377"
+
+pytestmark = pytest.mark.skipif(
+    ".".join(np.__version__.split(".")[:2]) != NUMPY,
+    reason=f"digests recorded under numpy {NUMPY}.x; this is numpy {np.__version__}",
+)
+
+
+def digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
+def test_simulate_paper_seed_1(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--paper", "--reps", "500", "--seed", "1",
+                 "--out-dir", str(out)]) == 0
+    assert digests(out) == SIMULATE_DIGESTS
+
+
+def test_report_of_seeded_laplacian_ensemble(tmp_path):
+    rows = np.random.default_rng(2024).laplace(size=(1000, 100)).tolist()
+    csv = tmp_path / "ensemble.csv"
+    csv.write_text("rep,index,value\n" + "".join(
+        f"{r},{i},{x!r}\n" for r, rec in enumerate(rows) for i, x in enumerate(rec)))
+    out = tmp_path / "report"
+    assert main(["test", "--in", str(csv), "--fft-len", "128", "--out-dir", str(out)]) == 0
+    assert digests(out)["report.json"] == TEST_REPORT_DIGEST
