@@ -43,21 +43,29 @@ def principal_triples(X):
 
 
 def gram_recurrence(t, J):
+    # a_j, b_j and q_j are held as Python floats and each new row is formed in
+    # place in P with one length-N scratch buffer; the operations and their
+    # order are those of (t - a_j) * p_j - b_j * p_{j-1}, so every bit is too
     N = t.shape[0]
     P = np.zeros((J, N))
-    q = np.zeros(J)
-    a = np.zeros(J)
-    b = np.zeros(J)
+    q = [0.0] * J
+    a = [0.0] * J
+    b = [0.0] * J
     P[0] = 1.0
-    q[0] = float(N)
+    q[0] = qj = float(N)
+    rows = list(P)
+    s = np.empty(N)
     for j in range(J - 1):
-        if q[j] <= 0.0:  # underflowed basis; caller rejects the zero norms
+        if qj <= 0.0:  # underflowed basis; caller rejects the zero norms
             break
-        a[j] = np.dot(t, P[j] * P[j]) / q[j]
+        pj, nxt = rows[j], rows[j + 1]
+        np.multiply(pj, pj, s)
+        a[j] = aj = float(t.dot(s)) / qj
+        np.subtract(t, aj, nxt)
+        np.multiply(nxt, pj, nxt)
         if j > 0:
-            b[j] = q[j] / q[j - 1]
-            P[j + 1] = (t - a[j]) * P[j] - b[j] * P[j - 1]
-        else:
-            P[j + 1] = (t - a[j]) * P[j]
-        q[j + 1] = np.dot(P[j + 1], P[j + 1])
-    return P, q, a, b
+            b[j] = bj = qj / q[j - 1]
+            np.multiply(rows[j - 1], bj, s)
+            np.subtract(nxt, s, nxt)
+        q[j + 1] = qj = float(nxt.dot(nxt))
+    return P, np.array(q), np.array(a), np.array(b)

@@ -265,8 +265,12 @@ def excess_kurtosis(ensemble: Ensemble) -> float:
     With a single record the kurtosis is taken across time instead (input-noise
     spot checks).
     """
-    v = _unit_scaled(ensemble, np.abs(ensemble.values).max()).values
-    R = ensemble.replications
+    return _kurtosis(_unit_scaled(ensemble, np.abs(ensemble.values).max()).values)
+
+
+def _kurtosis(v: np.ndarray) -> float:
+    # excess_kurtosis of values already at unit scale
+    R = v.shape[0]
     if R == 1:
         u = v[0] - v[0].mean()
         u2 = u**2
@@ -329,7 +333,7 @@ def gaussianity_report(
     s3, msq = _kernels.principal_triples(X)
     bicoh = _bicoherence(fft_len, R, s3, msq, _power(X))
     stat, dof, pfa = hinich_test(bicoh)
-    kurt = excess_kurtosis(scaled)
+    kurt = _kurtosis(scaled.values)
     hist = histogram(v, bins)
     return GaussianityReport(
         statistic=stat,

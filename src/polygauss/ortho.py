@@ -10,6 +10,11 @@ with a_j = sum t_n p_j^2[n] / q_j, b_j = q_j / q_{j-1} and q_j = sum p_j^2[n].
 Projecting data onto the first J polynomials gives the smoothing transform
 y = P Q^-1 P^T x; the projector's entries are the error-mixing coefficients
 that relate the post-transform error process to the raw noise.
+
+Order selection scores every candidate order from one basis build: the
+coefficients c_j = <x, p_j> / q_j do not depend on J, so the order-J fit is the
+partial sum c_0 p_0 + ... + c_{J-1} p_{J-1}, and the whole risk curve costs
+O(N J) on top of the build.
 """
 
 from dataclasses import dataclass
@@ -136,7 +141,13 @@ def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarra
     N = op.basis.grid.count
     if S.shape != (N, N):
         raise DimensionError(f"covariance must be {N}x{N}")
-    if np.max(np.abs(S - S.T)) > 1e-9:
+    if not np.all(np.isfinite(S)):
+        raise InvalidCovarianceError("noise covariance has non-finite entries")
+    # relative to the largest entry, so rounding asymmetry passes at any scale;
+    # a difference that overflows is inf and is rejected
+    with np.errstate(over="ignore"):
+        asymmetry = np.max(np.abs(S - S.T))
+    if asymmetry > 1e-9 * np.max(np.abs(S)):
         raise InvalidCovarianceError("noise covariance is not symmetric")
     H = op.xi
     out = H @ S @ H.T
@@ -166,8 +177,12 @@ def select_order(
 
     ``j_range`` must hold distinct integer orders in ascending order.  The
     recurrence is prefix-nested (the first J rows of the order-K basis are the
-    order-J basis), so the basis is built once at the maximum order and each
-    candidate fit uses its first J rows.
+    order-J basis), so the basis is built once at the maximum order K.  The
+    coefficients ``c = (x P^T) / q`` are formed once, and every order-J fit is
+    the running partial sum of ``c_j p_j`` over the first J rows, formed in one
+    (K, N) work buffer; RSS(J) is the row sum of its squared residual.  The
+    residual is formed explicitly rather than as the tail sum of ``c_j^2 q_j``,
+    which would assume orthogonality the recurrence loses at high orders.
     """
     N = grid.count
     if mode not in ("oracle", "penalized"):
@@ -196,10 +211,15 @@ def select_order(
         penalty = 2.0 * noise_var / N
 
     full = build_basis(grid, orders[-1])
-    curve = []
-    for J in orders:
-        fit = _fit(full.values[:J], full.norms[:J], data)
-        risk = float(np.sum((data - fit) ** 2) / N + penalty * J)
-        curve.append((J, risk))
-    best = min(curve, key=lambda jr: (jr[1], jr[0]))
-    return OrderSelection(best[0], tuple(curve))
+    P = full.values
+    c = (data @ P.T) / full.norms
+    # row J - 1 of the work buffer becomes the order-J fit sum_{j<J} c_j p_j as a
+    # running sum over the rows, then that fit's squared residual
+    work = np.multiply(P, c[:, None])
+    np.cumsum(work, axis=0, out=work)
+    np.subtract(data, work, out=work)
+    np.square(work, out=work)
+    Js = np.array(orders)
+    risks = work.sum(axis=1)[Js - 1] / N + penalty * Js
+    # argmin takes the first minimum, so ties break toward the smaller order
+    return OrderSelection(orders[int(np.argmin(risks))], tuple(zip(orders, risks.tolist())))

@@ -19,6 +19,35 @@ def _sequential_triple_grid(X, F):
     return s3 / R, msq / R
 
 
+def _stepwise_gram_recurrence(t, J):
+    # the three-term recurrence with every row formed as one expression, its
+    # coefficients held in the output arrays
+    N = t.shape[0]
+    P = np.zeros((J, N))
+    q = np.zeros(J)
+    a = np.zeros(J)
+    b = np.zeros(J)
+    P[0] = 1.0
+    q[0] = float(N)
+    for j in range(J - 1):
+        if q[j] <= 0.0:
+            break
+        a[j] = np.dot(t, P[j] * P[j]) / q[j]
+        if j > 0:
+            b[j] = q[j] / q[j - 1]
+            P[j + 1] = (t - a[j]) * P[j] - b[j] * P[j - 1]
+        else:
+            P[j + 1] = (t - a[j]) * P[j]
+        q[j + 1] = np.dot(P[j + 1], P[j + 1])
+    return P, q, a, b
+
+
+@pytest.fixture(scope="session")
+def stepwise_gram_recurrence():
+    """The recurrence one row expression at a time: the reference that pins ``gram_recurrence``."""
+    return _stepwise_gram_recurrence
+
+
 @pytest.fixture(scope="session")
 def sequential_triple_grid():
     """The full triple-product grid: the reference that pins ``principal_triples``."""

@@ -423,6 +423,18 @@ class TestExcessKurtosis:
             assert pg.excess_kurtosis(pg.Ensemble(sub)) == pg.excess_kurtosis(
                 pg.Ensemble(sub * 2.0**1023))
 
+    def test_report_rescales_once_and_keeps_the_bits(self, monkeypatch):
+        from polygauss import gaussianity
+
+        ens = pg.Ensemble(np.random.default_rng(21).laplace(size=(200, 60)) * 1e-7)
+        expected = pg.excess_kurtosis(ens)
+        calls = []
+        unit_scaled = gaussianity._unit_scaled
+        monkeypatch.setattr(gaussianity, "_unit_scaled",
+                            lambda *a: calls.append(a) or unit_scaled(*a))
+        assert pg.gaussianity_report(ens).avg_kurtosis == expected
+        assert len(calls) == 1
+
     def test_too_few_replications(self):
         with pytest.raises(pg.DegenerateDataError):
             pg.excess_kurtosis(pg.Ensemble(np.random.default_rng(0).standard_normal((3, 5))))

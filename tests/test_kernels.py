@@ -43,6 +43,15 @@ class TestNumpyKernels:
         assert a[0] == pytest.approx(1.0)
         assert b[1] == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("t,J", [
+        (np.arange(240) * 0.0375, 240),
+        (np.arange(60) * 0.15, 3),
+        (np.arange(40) * 1e-30, 12),  # the norms underflow and the loop breaks
+    ])
+    def test_gram_recurrence_bitwise_equal_to_stepwise(self, stepwise_gram_recurrence, t, J):
+        for got, ref in zip(_kernels.gram_recurrence(t, J), stepwise_gram_recurrence(t, J)):
+            assert np.array_equal(got, ref)
+
 
 class TestPrincipalTriples:
     @settings(max_examples=60, deadline=None)

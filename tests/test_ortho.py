@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -252,6 +253,30 @@ class TestErrorCovariance:
         S = A @ A.T
         npt.assert_allclose(pg.error_covariance(op, S), S, atol=1e-10 * np.max(np.abs(S)))
 
+    def test_rounding_asymmetry_accepted_at_any_scale(self):
+        grid = pg.SampleGrid.uniform(25, 0.3)
+        op = pg.projection_operator(pg.build_basis(grid, 8))
+        rng = np.random.default_rng(12)
+        B = rng.standard_normal((25, 25))
+        A = rng.standard_normal((25, 25))
+        S = 1e4 * (B @ (A @ A.T) @ B.T)
+        assert np.max(np.abs(S - S.T)) > 1e-9  # the product is not exactly symmetric
+        npt.assert_allclose(pg.error_covariance(op, S), op.xi @ S @ op.xi,
+                            atol=1e-10 * np.max(np.abs(S)))
+
+    def test_tiny_asymmetric_rejected(self):
+        op = pg.projection_operator(pg.build_basis(GRID3, 2))
+        S = 1e-12 * np.eye(3)
+        S[0, 1] = S[0, 0]
+        with pytest.raises(pg.InvalidCovarianceError):
+            pg.error_covariance(op, S)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        op = pg.projection_operator(pg.build_basis(GRID3, 2))
+        with pytest.raises(pg.InvalidCovarianceError):
+            pg.error_covariance(op, np.full((3, 3), bad))
+
     def test_asymmetric_rejected(self):
         op = pg.projection_operator(pg.build_basis(GRID3, 2))
         S = np.eye(3)
@@ -312,9 +337,54 @@ class TestSelectOrder:
             b = pg.build_basis(grid, J)
             fit = (b.values @ data) / b.norms @ b.values
             reference.append((J, float(np.sum((data - fit) ** 2) / N + penalty * J)))
-        assert [(j, r.hex()) for j, r in sel.risk_curve] == \
-            [(j, r.hex()) for j, r in reference]
+        # the curve sums the fit as a running sum over the rows, the reference as
+        # one product per order: the same terms, added in another order
+        assert [j for j, _ in sel.risk_curve] == [j for j, _ in reference]
+        for (_, r), (_, ref) in zip(sel.risk_curve, reference):
+            assert abs(r - ref) <= 16 * math.ulp(ref)
         assert sel.chosen == min(reference, key=lambda jr: (jr[1], jr[0]))[0]
+
+    def test_one_basis_build_and_no_per_order_fit(self, monkeypatch):
+        from polygauss import ortho
+
+        def no_fit(*args):
+            raise AssertionError("select_order fitted one order at a time")
+
+        builds = []
+        build_basis = ortho.build_basis
+        monkeypatch.setattr(ortho, "_fit", no_fit)
+        monkeypatch.setattr(ortho, "build_basis",
+                            lambda *a: builds.append(a[1]) or build_basis(*a))
+        grid = pg.SampleGrid.uniform(60, 0.15)
+        x = pg.Sequence(np.random.default_rng(4).standard_normal(60), grid)
+        sel = pg.select_order(grid, "penalized", None, observed=x, noise_var=0.5)
+        assert len(sel.risk_curve) == 60
+        assert builds == [60]
+
+    @pytest.mark.parametrize("mode", ["oracle", "penalized"])
+    def test_sparse_range_reads_the_dense_curve(self, mode):
+        grid = pg.SampleGrid.uniform(30, 0.3)
+        rng = np.random.default_rng(9)
+        g = pg.Sequence(np.sin(grid.points), grid)
+        x = pg.Sequence(g.values + 0.1 * rng.standard_normal(30), grid)
+        kw = dict(signal=g, observed=x, noise_var=0.01)
+        dense = dict(pg.select_order(grid, mode, range(1, 10), **kw).risk_curve)
+        sparse = pg.select_order(grid, mode, [2, 5, 9], **kw)
+        assert sparse.risk_curve == tuple((J, dense[J]) for J in (2, 5, 9))
+        assert sparse.chosen == min(sparse.risk_curve, key=lambda jr: (jr[1], jr[0]))[0]
+
+    def test_one_work_buffer_beyond_the_basis(self):
+        N = 400
+        grid = pg.SampleGrid.uniform(N, 9.0 / N)
+        x = pg.Sequence(np.random.default_rng(6).standard_normal(N), grid)
+        tracemalloc.start()
+        try:
+            pg.select_order(grid, "penalized", range(1, 301), observed=x, noise_var=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffer = 300 * N * 8  # one (J, N) float64 array
+        assert peak < 2.5 * buffer  # the basis values and the work buffer
 
     @pytest.mark.parametrize("points,j_range", [
         (np.arange(40) * 1e-30, range(1, 13)),   # norms underflow

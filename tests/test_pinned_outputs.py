@@ -30,7 +30,7 @@ SIMULATE_DIGESTS = {
     "laplacian_input_histogram.csv": "f4a056b0803a45d6af318a2d020fcb74e75122d0509a50f7ee4987cc5febfa82",
     "laplacian_output_bicoherence.csv": "8cd445e551e0709d31a10a9d05303b0d1a43fdadb94e10137916a3e138320910",
     "laplacian_output_histogram.csv": "3e43afad560980628ad349b24aedd8963343098c2c96555406fb5e4ac77d2c1c",
-    "summary.json": "c57baf9c656b5a72051f439f159462ea8a9663b2b17fe4ba49c7b92ff48ae413",
+    "summary.json": "5196b94665b6af95d310e62837a251307949c94e058afa78c9029323c35532fc",
     "uniform_input_bicoherence.csv": "34fe2664540c17104821b71ce798c240d84aad9c6ee145e2cc6b74764518e89f",
     "uniform_input_histogram.csv": "2a7bf1e9de44b318b371718a7efeff5208cb4721db9db4b6653ab163e81c2ba9",
     "uniform_output_bicoherence.csv": "65d4f78c9834e1dd8173a83d3b23abe4c404fc1c47c273e86c1972b4d89ab97a",
