@@ -2,88 +2,31 @@
 
 Exit codes: 0 success, 1 configuration/flag error, 2 statistically degenerate
 data, 3 I/O failure.
+
+Each command imports the layers it runs when it runs, so ``transform`` never
+loads the noise, Gaussianity or Monte Carlo modules. A flag left unset keeps
+the library's reference value.
 """
 
 import argparse
-import json
 import os
 import sys
 
-import numpy as np
-
+from .csvio import read_table_csv, write_bicoherence_csv, write_histogram_csv, write_sequence_csv
 from .errors import ConfigError, PolygaussError
-from .experiment import (
-    REFERENCE_DT,
-    REFERENCE_N,
-    ExperimentConfig,
-    _write_bicoherence_csv,
-    _write_histogram_csv,
-    emit_report,
-    run_experiment,
-    write_sequence_csv,
-)
-from .gaussianity import Ensemble, gaussianity_report, segment_record
-from .noise import NOISE_FAMILIES, SignalSpec, synth_signal
-from .ortho import (
-    SampleGrid,
-    Sequence,
-    build_basis,
-    projection_operator,
-    select_order,
-    transform,
-)
+from .ortho import SampleGrid, build_basis, projection_operator, select_order, transform
 
 EXIT_CONFIG = 1
 EXIT_DEGENERATE = 2
 EXIT_IO = 3
+#: simulate flags that are ExperimentConfig fields of the same name
+_SETUP_FIELDS = ("snr_db", "families", "gamma_shape", "fft_len", "bins")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         raise ConfigError(message)
-
-
-def read_table_csv(path: str):
-    """Read a sequence or ensemble CSV; returns ('sequence', Sequence) or ('ensemble', Ensemble)."""
-    try:
-        with open(path, newline="") as fh:
-            lines = [line for line in fh if not line.isspace()]
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-    if not lines:
-        raise ConfigError(f"{path}: empty file")
-    header = lines[0].strip().split(",")
-    if header not in (["index", "time", "value"], ["rep", "index", "value"]):
-        raise ConfigError(f"{path}: unrecognized header {header}")
-    if len(lines) == 1:
-        raise ConfigError(f"{path}: no data rows")
-    # numpy 2.4's loadtxt can crash the process on an integer field of astral-plane
-    # characters, so non-ASCII text never reaches it
-    if not all(map(str.isascii, lines)):
-        raise ConfigError(f"{path}: non-ASCII character; the CSV must be ASCII text")
-    dtype = [(name, np.float64 if name in ("time", "value") else np.int64) for name in header]
-    try:
-        # loadtxt rejects rows with a wrong field count or a field that is not a number
-        table = np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed row ({exc})") from None
-    if header[0] == "index":
-        if not np.array_equal(table["index"], np.arange(table.size)):
-            raise ConfigError(f"{path}: sequence index must run 0..N-1 in file order")
-        # contiguous copies: matmul sums a strided field view in another order (last-bit changes)
-        return "sequence", Sequence(table["value"].copy(), SampleGrid(table["time"].copy()))
-    reps, idx = table["rep"], table["index"]
-    if reps.min() < 0 or idx.min() < 0:
-        raise ConfigError(f"{path}: ensemble needs rows with non-negative rep and index")
-    n_rep, n_idx = int(reps.max()) + 1, int(idx.max()) + 1
-    # the size check bounds the bincount; the counts reject duplicated or missing cells
-    if (table.size != n_rep * n_idx
-            or np.any(np.bincount(reps * n_idx + idx, minlength=table.size) != 1)):
-        raise ConfigError(f"{path}: ensemble table is not a full rep x index grid")
-    values = np.empty((n_rep, n_idx))
-    values[reps, idx] = table["value"]
-    return "ensemble", Ensemble(values)
 
 
 def _component(text: str) -> tuple:
@@ -94,14 +37,18 @@ def _component(text: str) -> tuple:
     return amp, damp, omega, phase
 
 
-def _signal_spec(reference: bool, components) -> SignalSpec:
+def _signal_spec(reference: bool, components):
     """The reference signal, or the ``--component`` list; never both."""
+    from .noise import SignalSpec
+
     if reference and components:
         raise ConfigError("--component cannot be combined with --paper or --paper-signal")
     return SignalSpec.reference() if reference else SignalSpec(tuple(components))
 
 
 def cmd_gen_signal(args) -> int:
+    from .noise import synth_signal
+
     grid = SampleGrid.uniform(args.n, args.dt)
     spec = _signal_spec(args.paper_signal, args.component)
     write_sequence_csv(args.out, synth_signal(spec, grid))
@@ -118,8 +65,8 @@ def cmd_transform(args) -> int:
             raise ConfigError("--order auto requires --sigma2")
         sel = select_order(grid, "penalized", range(1, grid.count + 1),
                            observed=seq, noise_var=args.sigma2)
-        order = sel.chosen
-        print(f"selected order: {order}")
+        basis = sel.basis
+        print(f"selected order: {sel.chosen}")
         print("risk curve:")
         for j, risk in sel.risk_curve:
             print(f"  J={j}: {risk:.6g}")
@@ -128,18 +75,29 @@ def cmd_transform(args) -> int:
             order = int(args.order)
         except ValueError:
             raise ConfigError(f"--order must be an integer or 'auto', got {args.order!r}")
-    op = projection_operator(build_basis(grid, order))
-    write_sequence_csv(args.out, transform(op, seq))
+        basis = build_basis(grid, order)
+    write_sequence_csv(args.out, transform(projection_operator(basis), seq))
     return 0
 
 
 def cmd_test(args) -> int:
+    import json
+
+    from .gaussianity import (
+        REFERENCE_BINS,
+        REFERENCE_FFT_LEN,
+        gaussianity_report,
+        segment_record,
+    )
+
+    fft_len = REFERENCE_FFT_LEN if args.fft_len is None else args.fft_len
+    bins = REFERENCE_BINS if args.bins is None else args.bins
     kind, data = read_table_csv(args.infile)
     if kind == "sequence":
-        ens = segment_record(data.values, args.fft_len)
+        ens = segment_record(data.values, fft_len)
     else:
         ens = data
-    report = gaussianity_report(ens, fft_len=args.fft_len, bins=args.bins)
+    report = gaussianity_report(ens, fft_len=fft_len, bins=bins)
     os.makedirs(args.out_dir, exist_ok=True)
     doc = {
         "S": report.statistic,
@@ -153,24 +111,31 @@ def cmd_test(args) -> int:
     with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_histogram_csv(os.path.join(args.out_dir, "histogram.csv"), report.histogram)
-    _write_bicoherence_csv(os.path.join(args.out_dir, "bicoherence.csv"), report.bicoherence)
+    write_histogram_csv(os.path.join(args.out_dir, "histogram.csv"), report.histogram)
+    write_bicoherence_csv(os.path.join(args.out_dir, "bicoherence.csv"), report.bicoherence)
     print(f"S={report.statistic:.6g} dof={report.dof} "
           f"PFA={report.pfa:.6g} kurtosis={report.avg_kurtosis:.6g}")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from .experiment import (
+        REFERENCE_DT,
+        REFERENCE_N,
+        ExperimentConfig,
+        emit_report,
+        run_experiment,
+    )
+
+    n = REFERENCE_N if args.n is None else args.n
+    dt = REFERENCE_DT if args.dt is None else args.dt
+    setup = {key: getattr(args, key) for key in _SETUP_FIELDS if getattr(args, key) is not None}
     result = run_experiment(ExperimentConfig(
         replications=args.reps,
         seed=args.seed,
-        grid=SampleGrid.uniform(args.n, args.dt),
+        grid=SampleGrid.uniform(n, dt),
         signal=_signal_spec(args.paper, args.component),
-        snr_db=args.snr_db,
-        families=args.noise,
-        gamma_shape=args.gamma_shape,
-        fft_len=args.fft_len,
-        bins=args.bins,
+        **setup,
     ))
     emit_report(result, args.out_dir)
     print(f"{'family':>10} {'J':>3} {'pfa_in':>10} {'K_in':>9} {'pfa_out':>10} {'K_out':>9}")
@@ -206,27 +171,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("test", help="run the Gaussianity battery on a sequence or ensemble")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--fft-len", type=int, default=ExperimentConfig.fft_len)
-    p.add_argument("--bins", type=int, default=ExperimentConfig.bins)
+    p.add_argument("--fft-len", type=int)
+    p.add_argument("--bins", type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo study")
     p.add_argument("--paper", "--paper-signal", action="store_true",
                    help="use the reference signal; the other flags default to the reference study")
-    p.add_argument("--n", type=int, default=REFERENCE_N)
-    p.add_argument("--dt", type=float, default=REFERENCE_DT)
-    p.add_argument("--snr-db", type=float, default=ExperimentConfig.snr_db)
+    p.add_argument("--n", type=int)
+    p.add_argument("--dt", type=float)
+    p.add_argument("--snr-db", type=float)
     p.add_argument("--component", action="append", default=[], type=_component,
                    metavar="AMP,DAMP,OMEGA,PHASE")
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--seed", type=int, required=True,
                    help="master seed; simulations never seed from the clock")
-    p.add_argument("--noise", nargs="+", choices=NOISE_FAMILIES,
-                   default=ExperimentConfig.families)
-    p.add_argument("--gamma-shape", type=float, default=ExperimentConfig.gamma_shape)
-    p.add_argument("--fft-len", type=int, default=ExperimentConfig.fft_len)
-    p.add_argument("--bins", type=int, default=ExperimentConfig.bins)
+    p.add_argument("--noise", dest="families", nargs="+", metavar="FAMILY",
+                   help="noise families to run; default every family")
+    p.add_argument("--gamma-shape", type=float)
+    p.add_argument("--fft-len", type=int)
+    p.add_argument("--bins", type=int)
     p.add_argument("--threads", type=int, default=1,
                    help="currently ignored; accepted for compatibility")
     p.add_argument("--out-dir", required=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_bicoherence_csv, write_histogram_csv
 from .errors import ConfigError, DegenerateDataError, PolygaussError
 from .gaussianity import (
     REFERENCE_BINS,
@@ -32,14 +33,7 @@ from .noise import (
     noise_sigma,
     synth_signal,
 )
-from .ortho import (
-    OrderSelection,
-    SampleGrid,
-    Sequence,
-    _fit,
-    build_basis,
-    select_order,
-)
+from .ortho import OrderSelection, SampleGrid, _fit, select_order
 
 #: candidate approximation orders; the oracle risk picks one per study
 ORDER_RANGE = range(1, 4)
@@ -119,7 +113,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise DegenerateDataError("noise variance implied by the SNR is zero or non-finite")
 
     selection = select_order(grid, "oracle", ORDER_RANGE, signal=g, noise_var=sigma**2)
-    basis = build_basis(grid, selection.chosen)
+    basis = selection.basis
 
     results = []
     for family in config.families:
@@ -135,32 +129,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         results.append(FamilyResult(family=family, selection=selection,
                                     input_report=inp, output_report=out))
     return ExperimentResult(config=config, families=tuple(results))
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write ``header`` and the already formatted ``rows`` as newline-terminated lines."""
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
-
-
-def write_sequence_csv(path: str, seq: Sequence) -> None:
-    _write_csv(path, "index,time,value", (
-        f"{i},{_fmt(t)},{_fmt(v)}" for i, (t, v) in enumerate(zip(seq.grid.points, seq.values))))
-
-
-def _write_histogram_csv(path: str, hist) -> None:
-    edges = hist.edges
-    _write_csv(path, "bin_left,bin_right,count", (
-        f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(c)}" for i, c in enumerate(hist.counts)))
-
-
-def _write_bicoherence_csv(path: str, bicoh) -> None:
-    _write_csv(path, "j,k,bicoherence_sq", (
-        f"{j},{k},{_fmt(val)}" for (j, k), val in zip(bicoh.points, bicoh.values)))
 
 
 def emit_report(result: ExperimentResult, out_dir: str) -> list[str]:
@@ -186,10 +154,10 @@ def emit_report(result: ExperimentResult, out_dir: str) -> list[str]:
         })
         base = os.path.join(out_dir, fam.family)
         pairs = [
-            (base + "_input_histogram.csv", fam.input_report.histogram, _write_histogram_csv),
-            (base + "_output_histogram.csv", fam.output_report.histogram, _write_histogram_csv),
-            (base + "_input_bicoherence.csv", fam.input_report.bicoherence, _write_bicoherence_csv),
-            (base + "_output_bicoherence.csv", fam.output_report.bicoherence, _write_bicoherence_csv),
+            (base + "_input_histogram.csv", fam.input_report.histogram, write_histogram_csv),
+            (base + "_output_histogram.csv", fam.output_report.histogram, write_histogram_csv),
+            (base + "_input_bicoherence.csv", fam.input_report.bicoherence, write_bicoherence_csv),
+            (base + "_output_bicoherence.csv", fam.output_report.bicoherence, write_bicoherence_csv),
         ]
         for path, payload, writer in pairs:
             writer(path, payload)

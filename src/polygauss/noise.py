@@ -5,6 +5,9 @@ The test signal is a sum of damped cosines, the real part of
 Noise families are standardized so each has zero population mean and unit
 population variance: standard normal; Laplacian with scale 1/sqrt(2); uniform
 on [-sqrt(3), sqrt(3)]; gamma(k) shifted by -k and divided by sqrt(k).
+
+The ``np.random.Generator`` annotations are quoted, so importing this module
+does not load ``numpy.random``; the first draw or stream state does.
 """
 
 import math
@@ -74,7 +77,7 @@ class RngStream:
         if self.index < 0:
             raise ConfigError("stream index must be non-negative")
 
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> "np.random.Generator":
         return np.random.default_rng((int(self.seed) & 0xFFFFFFFFFFFFFFFF, int(self.index)))
 
 
@@ -89,7 +92,7 @@ def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
     return Sequence(g, grid)
 
 
-def _draw(spec: NoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw(spec: NoiseSpec, n: int, rng: "np.random.Generator") -> np.ndarray:
     if spec.family == "gaussian":
         return rng.standard_normal(n)
     if spec.family == "laplacian":

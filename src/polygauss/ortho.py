@@ -17,7 +17,7 @@ partial sum c_0 p_0 + ... + c_{J-1} p_{J-1}, and the whole risk curve costs
 O(N J) on top of the build.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,6 +118,18 @@ def build_basis(grid: SampleGrid, order: int) -> PolynomialBasis:
     return PolynomialBasis(grid=grid, values=P, norms=q, recurrence_a=a, recurrence_b=b)
 
 
+def _leading(basis: PolynomialBasis, order: int) -> PolynomialBasis:
+    """The first ``order`` polynomials of ``basis``, equal to ``build_basis(grid, order)``.
+
+    The recurrence is prefix-nested, so the rows and norms are those of the
+    lower-order build; like it, the copy keeps a_j and b_j only for j < order - 1.
+    """
+    a, b = basis.recurrence_a[:order].copy(), basis.recurrence_b[:order].copy()
+    a[order - 1] = b[order - 1] = 0.0
+    return PolynomialBasis(basis.grid, basis.values[:order].copy(), basis.norms[:order].copy(),
+                           a, b)
+
+
 def projection_operator(basis: PolynomialBasis) -> ProjectionOperator:
     """The projector onto ``basis``; its dense matrix is ``op.xi``."""
     return ProjectionOperator(basis)
@@ -158,6 +170,7 @@ def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarra
 class OrderSelection:
     chosen: int
     risk_curve: tuple  # ((J, risk), ...) in ascending J
+    basis: PolynomialBasis = field(repr=False, compare=False)  # the order-``chosen`` basis
 
 
 def select_order(
@@ -182,7 +195,8 @@ def select_order(
     the running partial sum of ``c_j p_j`` over the first J rows, formed in one
     (K, N) work buffer; RSS(J) is the row sum of its squared residual.  The
     residual is formed explicitly rather than as the tail sum of ``c_j^2 q_j``,
-    which would assume orthogonality the recurrence loses at high orders.
+    which would assume orthogonality the recurrence loses at high orders.  The
+    selection carries the chosen order's basis, cut from that one build.
     """
     N = grid.count
     if mode not in ("oracle", "penalized"):
@@ -221,5 +235,7 @@ def select_order(
     np.square(work, out=work)
     Js = np.array(orders)
     risks = work.sum(axis=1)[Js - 1] / N + penalty * Js
+    del work  # freed before the chosen rows are copied: the peak stays at two (K, N) arrays
     # argmin takes the first minimum, so ties break toward the smaller order
-    return OrderSelection(orders[int(np.argmin(risks))], tuple(zip(orders, risks.tolist())))
+    chosen = orders[int(np.argmin(risks))]
+    return OrderSelection(chosen, tuple(zip(orders, risks.tolist())), _leading(full, chosen))

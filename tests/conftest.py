@@ -1,4 +1,6 @@
-"""Reference implementations that more than one test module compares against."""
+"""Reference implementations and fixtures that more than one test module uses."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -52,3 +54,21 @@ def stepwise_gram_recurrence():
 def sequential_triple_grid():
     """The full triple-product grid: the reference that pins ``principal_triples``."""
     return _sequential_triple_grid
+
+
+@pytest.fixture
+def basis_builds(monkeypatch):
+    """The order of every ``build_basis`` call, through whichever module's name it is made."""
+    from polygauss import ortho
+
+    builds = []
+    build_basis = ortho.build_basis
+
+    def counted(grid, order):
+        builds.append(order)
+        return build_basis(grid, order)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polygauss") and vars(module).get("build_basis") is build_basis:
+            monkeypatch.setattr(module, "build_basis", counted)
+    return builds

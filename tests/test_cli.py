@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import polygauss as pg
-from polygauss.cli import main, read_table_csv, write_sequence_csv
-from polygauss.experiment import _write_bicoherence_csv, _write_histogram_csv
+from polygauss.cli import main
+from polygauss.csvio import (
+    read_table_csv,
+    write_bicoherence_csv,
+    write_histogram_csv,
+    write_sequence_csv,
+)
 
 
 def run(*argv):
@@ -130,6 +135,22 @@ class TestTransform:
         _, fit = read_table_csv(out)
         npt.assert_allclose(fit.values, 2.0 + grid.points, atol=0.02)
 
+    def test_auto_builds_the_basis_once(self, tmp_path, basis_builds):
+        grid = pg.SampleGrid.uniform(40, 0.1)
+        x = pg.Sequence(np.sin(grid.points) + 0.1 * np.random.default_rng(8).standard_normal(40),
+                        grid)
+        src, out, ref = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "ref.csv"
+        write_sequence_csv(str(src), x)
+        assert run("transform", "--in", str(src), "--order", "auto", "--sigma2", "0.01",
+                   "--out", str(out)) == 0
+        assert basis_builds == [40]
+        # the same bytes as projecting onto a fresh build at the chosen order
+        chosen = pg.select_order(grid, "penalized", range(1, 41), observed=x,
+                                 noise_var=0.01).chosen
+        write_sequence_csv(str(ref), pg.transform(
+            pg.projection_operator(pg.build_basis(grid, chosen)), x))
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_overflowing_recurrence_one_error_line(self, tmp_path, capsys):
         # over 9 s the top orders of the recurrence overflow; the basis check reports
         # it without a RuntimeWarning
@@ -205,8 +226,8 @@ class TestTestCommand:
                "M": rep.fft_len, "K": rep.frames, "R": rep.replications}
         assert (out_dir / "report.json").read_text() == json.dumps(doc, indent=2,
                                                                    sort_keys=True) + "\n"
-        _write_histogram_csv(str(tmp_path / "histogram.csv"), rep.histogram)
-        _write_bicoherence_csv(str(tmp_path / "bicoherence.csv"), rep.bicoherence)
+        write_histogram_csv(str(tmp_path / "histogram.csv"), rep.histogram)
+        write_bicoherence_csv(str(tmp_path / "bicoherence.csv"), rep.bicoherence)
         for name in ("histogram.csv", "bicoherence.csv"):
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -465,6 +486,15 @@ class TestSimulate:
         assert "gamma shape" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_unknown_family_rejected_before_draws(self, tmp_path, capsys):
+        # the library, not the parser, holds the family list
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--noise", "gaussian", "cauchy", "--reps", "16",
+                   "--seed", "1", "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert "'cauchy'" in err and str(pg.NOISE_FAMILIES) in err and "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_nan_snr_rejected_before_draws(self, tmp_path, capsys):
         out_dir = tmp_path / "o"
         assert run("simulate", "--paper", "--noise", "gaussian", "--reps", "16", "--seed", "1",
@@ -538,7 +568,9 @@ class TestOutOfMemory:
         def too_large(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(pg.cli, target, too_large)
+        # each command imports its layers when it runs, so the defining module is patched
+        owner = {"run_experiment": pg.experiment, "synth_signal": pg.noise}[target]
+        monkeypatch.setattr(owner, target, too_large)
         argv = {"simulate": ["--paper", "--reps", "16", "--seed", "1", "--out-dir"],
                 "gen-signal": ["--n", "16", "--dt", "1", "--out"]}[command]
         assert run(command, *argv, str(tmp_path / "o")) == 1

@@ -132,6 +132,10 @@ class TestRunExperiment:
         assert fam.input_report.avg_kurtosis == ref.avg_kurtosis
         npt.assert_array_equal(fam.input_report.histogram.counts, ref.histogram.counts)
 
+    def test_one_basis_build(self, basis_builds):
+        pg.run_experiment(small_config(reps=16))
+        assert basis_builds == [3]  # select_order's build at the top of the order range
+
     def test_foreign_exception_propagates_unchanged(self, monkeypatch):
         class TwoArgError(Exception):
             def __init__(self, message, detail):

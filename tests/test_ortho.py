@@ -361,6 +361,22 @@ class TestSelectOrder:
         assert len(sel.risk_curve) == 60
         assert builds == [60]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 4.0), st.data())
+    def test_selection_carries_the_chosen_build(self, N, seed, noise_var, data):
+        # the chosen rows are cut from the selection's one build; the recurrence is
+        # prefix-nested, so they are the order-J build bit for bit
+        rng = np.random.default_rng(seed)
+        grid = pg.SampleGrid((np.arange(N) + rng.uniform(-0.4, 0.4, N)) * 0.15)
+        x = pg.Sequence(np.cos(grid.points) + rng.standard_normal(N), grid)
+        K = data.draw(st.integers(1, N))
+        sel = pg.select_order(grid, "penalized", range(1, K + 1), observed=x,
+                              noise_var=noise_var)
+        ref = pg.build_basis(grid, sel.chosen)
+        assert sel.basis.grid is grid
+        for name in ("values", "norms", "recurrence_a", "recurrence_b"):
+            npt.assert_array_equal(getattr(sel.basis, name), getattr(ref, name))
+
     @pytest.mark.parametrize("mode", ["oracle", "penalized"])
     def test_sparse_range_reads_the_dense_curve(self, mode):
         grid = pg.SampleGrid.uniform(30, 0.3)
