@@ -4,56 +4,99 @@ A sequence table has the header ``index,time,value``, an ensemble table
 ``rep,index,value``; reports add histogram (``bin_left,bin_right,count``) and
 bicoherence (``j,k,bicoherence_sq``) tables. Floats are written with ``repr``,
 so a written sequence reads back bit for bit.
+
+A table is read in two passes at most. A clean file's body is parsed by one
+call of ``np.loadtxt`` on its path, which runs numpy's chunked C reader. A file
+that call rejects is read again line by line (``_stream_table``), the reader
+that decides what is accepted and what every error says.
 """
 
 import itertools
+import lzma
 
 import numpy as np
 
 from .errors import ConfigError
 from .ortho import SampleGrid, Sequence
 
+#: what ``np.loadtxt`` raises when a file is not a clean table: a malformed row or
+#: non-ASCII text (``ValueError``), or a file it opens as compressed by its extension
+_FAST_PATH_ERRORS = (ValueError, OSError, EOFError, lzma.LZMAError)
+
 
 def _ascii_rows(path: str, fh):
-    """The non-blank lines of ``fh``; a line that is not ASCII raises before it is yielded.
+    """(number, line) for each non-blank line of ``fh``; every yielded line is ASCII.
 
-    numpy 2.4's loadtxt can crash the process on an integer field of astral-plane
-    characters, so non-ASCII text never reaches it.
+    A non-ASCII line raises before it is yielded: numpy 2.4's loadtxt can crash the
+    process on an integer field of astral-plane characters, so such text never reaches it.
     """
     try:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.isspace():
                 continue
             if not line.isascii():
                 raise ConfigError(f"{path}: non-ASCII character; the CSV must be ASCII text")
-            yield line
+            yield number, line
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _scan(path: str, fh):
+    """Check the header and that a data row follows it.
+
+    Returns the header's fields, the header's line number and the stream of data
+    lines from the first one on.
+    """
+    rows = _ascii_rows(path, fh)
+    number, line = next(rows, (0, None))
+    if line is None:
+        raise ConfigError(f"{path}: empty file")
+    header = line.strip().split(",")
+    if header not in (["index", "time", "value"], ["rep", "index", "value"]):
+        raise ConfigError(f"{path}: unrecognized header {header}")
+    first = next(rows, None)
+    if first is None:
+        raise ConfigError(f"{path}: no data rows")
+    return header, number, (line for _, line in itertools.chain([first], rows))
+
+
+def _loadtxt(source, header, **kwargs):
+    dtype = [(name, np.float64 if name in ("time", "value") else np.int64) for name in header]
+    return np.loadtxt(source, dtype=dtype, delimiter=",", comments=None, ndmin=1, **kwargs)
+
+
+def _stream_table(path: str):
+    """The header and table of ``path``, its lines fed one at a time into ``np.loadtxt``.
+
+    The reference reader: it alone accepts whitespace-only lines, and it raises
+    every error the command line reports for a malformed file.
+    """
+    with open(path, newline="") as fh:
+        header, _, rows = _scan(path, fh)
+        try:
+            # loadtxt rejects rows with a wrong field count or a field that is not a number
+            table = _loadtxt(rows, header)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row ({exc})") from None
+    return header, table
 
 
 def read_table_csv(path: str):
     """Read a sequence or ensemble CSV; returns ('sequence', Sequence) or ('ensemble', Ensemble).
 
-    The rows are streamed into ``np.loadtxt``, so the file's text is never held whole.
+    After the header is checked, the body is parsed in one pass of numpy's chunked
+    C reader, which decodes it as ASCII. A file that pass rejects (whitespace-only
+    lines, a malformed row, non-ASCII text, a name numpy opens as compressed) is
+    read again by ``_stream_table``, so every accepted file and every error is that
+    reader's. The file's text is never held whole.
     """
     with open(path, newline="") as fh:
-        rows = _ascii_rows(path, fh)
-        line = next(rows, None)
-        if line is None:
-            raise ConfigError(f"{path}: empty file")
-        header = line.strip().split(",")
-        if header not in (["index", "time", "value"], ["rep", "index", "value"]):
-            raise ConfigError(f"{path}: unrecognized header {header}")
-        first = next(rows, None)
-        if first is None:
-            raise ConfigError(f"{path}: no data rows")
-        dtype = [(name, np.float64 if name in ("time", "value") else np.int64) for name in header]
-        try:
-            # loadtxt rejects rows with a wrong field count or a field that is not a number
-            table = np.loadtxt(itertools.chain([first], rows), dtype=dtype, delimiter=",",
-                               comments=None, ndmin=1)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed row ({exc})") from None
+        header, skip, _ = _scan(path, fh)
+    try:
+        # the ascii codec raises before any non-ASCII text reaches loadtxt's tokenizer
+        table = _loadtxt(path, header, skiprows=skip, encoding="ascii")
+    except _FAST_PATH_ERRORS:
+        header, table = _stream_table(path)
     if header[0] == "index":
         if not np.array_equal(table["index"], np.arange(table.size)):
             raise ConfigError(f"{path}: sequence index must run 0..N-1 in file order")

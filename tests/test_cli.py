@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import polygauss as pg
+from polygauss import csvio
 from polygauss.cli import main
 from polygauss.csvio import (
     read_table_csv,
@@ -260,6 +261,16 @@ class TestTestCommand:
         assert doc["S"] == pytest.approx(rep.statistic, rel=1e-9)
         assert doc["kurtosis"] == pytest.approx(rep.avg_kurtosis, rel=1e-12)
 
+    @pytest.mark.parametrize("flags", [["--bins", "0"], ["--fft-len", "7"]])
+    def test_bad_flag_rejected_before_reading(self, tmp_path, capsys, flags):
+        # the input does not exist, so a command that read it first would exit 3
+        out_dir = tmp_path / "r"
+        assert run("test", "--in", str(tmp_path / "missing.csv"), *flags,
+                   "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]}") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_long_sequence_segmented(self, tmp_path):
         grid = pg.SampleGrid.uniform(1024, 1.0)
         vals = np.random.default_rng(5).standard_normal(1024)
@@ -323,7 +334,8 @@ class TestMalformedCsv:
         "rep,index,value\n{},0,1.0\n",
         "rep,index,value\n0,{},1.0\n",
         "index,time,value\n{},0.0,1.0\n",
-    ], ids=["rep", "index", "sequence_index"])
+        "rep,index,value\n0,0,1.0\n0,{},1.0\n",  # past the header scan, in the C reader's text
+    ], ids=["rep", "index", "sequence_index", "second_row_index"])
     def test_astral_plane_field_exits_config(self, tmp_path, text, char):
         src = tmp_path / "bad.csv"
         src.write_text(text.format(char), encoding="utf-8")
@@ -426,6 +438,51 @@ class TestCsvRoundTrip:
         assert kind == "sequence"
         assert seq.values.tobytes() == values.tobytes()
         assert seq.grid.points.tobytes() == grid.points.tobytes()
+
+
+def _ensemble_text(table):
+    return "rep,index,value\n" + "".join(
+        f"{r},{n},{float(v)!r}\n" for (r, n), v in np.ndenumerate(table))
+
+
+class TestCsvReaders:
+    TABLE = np.random.default_rng(11).standard_normal((10, 100))
+
+    # np.loadtxt opens a path by its extension; these files are plain text all the same
+    @pytest.mark.parametrize("ext", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_extension_read_as_text(self, tmp_path, ext):
+        text = _ensemble_text(self.TABLE)
+        (tmp_path / "ens.csv").write_text(text)
+        (tmp_path / f"ens{ext}").write_text(text)
+        _, want = read_table_csv(str(tmp_path / "ens.csv"))
+        _, got = read_table_csv(str(tmp_path / f"ens{ext}"))
+        assert got.values.tobytes() == want.values.tobytes() == self.TABLE.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings_match_line_stream(self, tmp_path, newline):
+        path = tmp_path / "ens.csv"
+        path.write_bytes(_ensemble_text(self.TABLE).replace("\n", newline).encode())
+        header, table = csvio._stream_table(str(path))
+        assert header == ["rep", "index", "value"] and table.size == self.TABLE.size
+        _, ens = read_table_csv(str(path))
+        assert ens.values.tobytes() == table["value"].reshape(self.TABLE.shape).tobytes()
+        assert ens.values.tobytes() == self.TABLE.tobytes()
+
+    def test_clean_body_skips_line_stream(self, tmp_path, monkeypatch):
+        streamed = []
+        ascii_rows = csvio._ascii_rows
+
+        def counted(path, fh):
+            for row in ascii_rows(path, fh):
+                streamed.append(row)
+                yield row
+
+        monkeypatch.setattr(csvio, "_ascii_rows", counted)
+        path = tmp_path / "ens.csv"
+        path.write_text(_ensemble_text(self.TABLE))
+        _, ens = read_table_csv(str(path))
+        assert ens.values.tobytes() == self.TABLE.tobytes()
+        assert len(streamed) == 2  # the header and the first of the 1000 rows
 
 
 class TestSimulate:
