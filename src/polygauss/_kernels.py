@@ -2,41 +2,63 @@
 
 ``principal_triples`` forms the frame means of the triple product
 ``X_j X_k conj(X_{j+k})`` and of its squared magnitude at the points of the
-principal bifrequency domain that the bicoherence reads (``principal_rows``).
-It works one row ``j`` at a time, so its temporaries are ``(R, row length)``,
-never ``(R, F, F)``.  ``gram_recurrence`` runs the three-term recurrence of the
-discrete orthogonal polynomials.
+principal bifrequency domain that the bicoherence reads (``principal_index``).
+It gathers every point at once, one chunk of frames at a time, so its
+temporaries are one chunk of about 256 KB, never ``(R, F, F)``.
+``gram_recurrence`` runs the three-term recurrence of the discrete orthogonal
+polynomials.
 """
 
 import numpy as np
 
+# complex triple products per frame chunk: 16384 * 16 B = 256 KB stays in L2
+_CHUNK_POINTS = 16384
 
-def principal_rows(M):
-    """Rows of the principal domain 1 <= k <= j, j + k <= M/2 - 1: ``j`` and its last ``k``."""
+
+def principal_index(M):
+    """``(j, k)`` of the principal domain 1 <= k <= j, j + k <= M/2 - 1, row ``j`` by row."""
     half = M // 2
-    j = np.arange(1, half - 1)
-    return j, np.minimum(j, half - 1 - j)
+    rows = np.arange(1, half - 1)
+    widths = np.minimum(rows, half - 1 - rows)
+    j = np.repeat(rows, widths)
+    starts = np.cumsum(widths) - widths
+    return j, np.arange(j.size) - np.repeat(starts, widths) + 1
 
 
 def principal_triples(X):
     # X: (R, M) complex FFT frames; returns the mean triple product and mean
-    # squared magnitude at the principal-domain points, row by row.
+    # squared magnitude at the principal-domain points.
     R, M = X.shape
-    rows, widths = principal_rows(M)
-    s3 = np.empty(int(widths.sum()), dtype=np.complex128)
-    msq = np.empty(s3.size)
-    at = 0
-    for j, w in zip(rows.tolist(), widths.tolist()):
-        # Frame sums over r of T = X_j X_k conj(X_{j+k}) and of |T|^2, k = 1..w.
-        # A one-column row takes one spare column: numpy drops a length-1 axis and
-        # would then add the frames pairwise; with two or more columns the axis-0
-        # sums add frames in order r = 0, 1, ..., R-1.  j + m <= M/2, so the
-        # columns j + k need no wrap.
-        m = max(w, 2)
-        T = X[:, j, None] * X[:, 1 : m + 1] * np.conj(X[:, j + 1 : j + m + 1])
-        s3[at : at + w] = T.sum(axis=0)[:w]
-        msq[at : at + w] = (np.abs(T) ** 2).sum(axis=0)[:w]
-        at += w
+    j, k = principal_index(M)
+    jk = j + k  # j + k <= M/2 - 1: no wrap
+    P = j.size
+    rc = max(1, _CHUNK_POINTS // P)
+    # Row 0 of each buffer carries the running frame sums; rows 1..n hold the
+    # chunk's T = X_j X_k conj(X_{j+k}) and |T|^2.  Both buffers are C-ordered
+    # and P >= 2 for every valid M, so the axis-0 sums add frames in order
+    # r = 0, 1, ..., R-1, as a frame-by-frame loop would.  take's "clip" mode
+    # writes straight into out (its default "raise" mode buffers); no index clips.
+    t = np.empty((rc + 1, P), dtype=np.complex128)
+    u = np.empty_like(t)
+    a = np.empty(t.shape)
+    s3 = np.zeros(P, dtype=np.complex128)
+    msq = np.zeros(P)
+    for r0 in range(0, R, rc):
+        Xr = X[r0 : r0 + rc]
+        n = Xr.shape[0]
+        tc, uc, ac = t[1 : n + 1], u[1 : n + 1], a[1 : n + 1]
+        np.take(Xr, j, axis=1, out=tc, mode="clip")
+        np.take(Xr, k, axis=1, out=uc, mode="clip")
+        tc *= uc
+        np.take(Xr, jk, axis=1, out=uc, mode="clip")
+        np.conj(uc, out=uc)
+        tc *= uc
+        np.abs(tc, out=ac)
+        ac *= ac
+        t[0] = s3
+        a[0] = msq
+        np.sum(t[: n + 1], axis=0, out=s3)
+        np.sum(a[: n + 1], axis=0, out=msq)
     s3 /= R
     msq /= R
     return s3, msq

@@ -69,17 +69,9 @@ def segment_record(values: np.ndarray, frame_len: int) -> Ensemble:
     return Ensemble(v[: K * frame_len].reshape(K, frame_len))
 
 
-def _principal_index(fft_len: int) -> tuple[np.ndarray, np.ndarray]:
-    # (j, k) index arrays of the principal domain, in the kernel's row order
-    rows, widths = _kernels.principal_rows(fft_len)
-    starts = np.cumsum(widths) - widths
-    j = np.repeat(rows, widths)
-    return j, np.arange(j.size) - np.repeat(starts, widths) + 1
-
-
 def principal_domain(fft_len: int) -> list[tuple[int, int]]:
     """Non-redundant bifrequency pairs: 1 <= k <= j, j + k <= M/2 - 1."""
-    j, k = _principal_index(fft_len)
+    j, k = _kernels.principal_index(fft_len)
     return list(zip(j.tolist(), k.tolist()))
 
 
@@ -142,8 +134,8 @@ def _power(X: np.ndarray) -> np.ndarray:
 
 
 def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
-    # s3, msq: frame means at the principal-domain points, in _principal_index order
-    j, k = _principal_index(fft_len)
+    # s3, msq: frame means at the principal-domain points, in principal_index order
+    j, k = _kernels.principal_index(fft_len)
     den = power[j] * power[k] * power[j + k]
     # np.hypot is the scalar abs() of a complex number bit for bit (np.abs is not)
     h = np.hypot(s3.real, s3.imag)
@@ -169,7 +161,7 @@ def hinich_test(bicoh: BicoherenceGrid) -> tuple[float, int, float]:
     frames = bicoh.frames
     if frames < MIN_FRAMES:
         raise InsufficientFramesError(f"need at least {MIN_FRAMES} frames")
-    if not _kernels.principal_rows(bicoh.fft_len)[0].size:
+    if not _kernels.principal_index(bicoh.fft_len)[0].size:
         raise ConfigError("principal domain is empty; FFT length too small")
     n_pts = len(bicoh.points)
     if n_pts == 0:  # every point numerically dead: nothing rejects the null
@@ -324,12 +316,12 @@ def gaussianity_report(
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
     v = ensemble.values
     R = ensemble.replications
-    if np.all(v == v.flat[0]):
-        raise DegenerateDataError("ensemble is constant")
     # every statistic but the histogram, whose edges are in data units, reads the
     # rescaled copy, so it keeps its bits when the data are scaled by a power of two
     scaled = _unit_scaled(ensemble, float(np.abs(v).max()))
-    X = _frames_fft(scaled, fft_len)
+    X = _frames_fft(scaled, fft_len)  # a bad FFT or record length is a config error first
+    if np.all(v == v.flat[0]):
+        raise DegenerateDataError("ensemble is constant")
     s3, msq = _kernels.principal_triples(X)
     bicoh = _bicoherence(fft_len, R, s3, msq, _power(X))
     stat, dof, pfa = hinich_test(bicoh)

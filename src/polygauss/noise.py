@@ -92,24 +92,40 @@ def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
     return Sequence(g, grid)
 
 
-def _draw(spec: NoiseSpec, n: int, rng: "np.random.Generator") -> np.ndarray:
+def _row_draw(spec: NoiseSpec, rng: "np.random.Generator"):
+    """A function that fills one row in place with the family's draws from ``rng``.
+
+    The gamma family's rows hold the raw unit-scale draws; ``_standardize``
+    shifts and scales them.
+    """
     if spec.family == "gaussian":
-        return rng.standard_normal(n)
+        return lambda row: rng.standard_normal(out=row)
     if spec.family == "laplacian":
-        return rng.laplace(loc=0.0, scale=1.0 / math.sqrt(2.0), size=n)
+        scale = 1.0 / math.sqrt(2.0)
+        return lambda row: np.copyto(row, rng.laplace(loc=0.0, scale=scale, size=row.size))
     if spec.family == "uniform":
         r = math.sqrt(3.0)
-        return rng.uniform(-r, r, size=n)
-    # gamma: unit scale, exact-mean shift, variance k -> divide by sqrt(k)
+        return lambda row: np.copyto(row, rng.uniform(-r, r, size=row.size))
     k = spec.gamma_shape
-    return (rng.gamma(shape=k, scale=1.0, size=n) - k) / math.sqrt(k)
+    return lambda row: rng.standard_gamma(k, out=row)
+
+
+def _standardize(spec: NoiseSpec, out: np.ndarray) -> np.ndarray:
+    # gamma: exact-mean shift, variance k -> divide by sqrt(k); elementwise, so
+    # one pass over all rows gives each row's bits
+    if spec.family == "gamma":
+        out -= spec.gamma_shape
+        out /= math.sqrt(spec.gamma_shape)
+    return out
 
 
 def draw_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
     """``n`` independent draws with exactly zero mean and unit variance by construction."""
     if n < 1:
         raise ConfigError("need at least one draw")
-    return _draw(spec, n, stream.generator())
+    out = np.empty(n)
+    _row_draw(spec, stream.generator())(out)
+    return _standardize(spec, out)
 
 
 # numpy.random.SeedSequence hashing constants (numpy/random/bit_generator.pyx);
@@ -186,13 +202,15 @@ def draw_noise_ensemble(spec: NoiseSpec, replications: int, n: int, seed: int) -
         raise ConfigError("need at least one draw")
     states = _pcg64_states(seed, replications)
     bitgen = np.random.PCG64()  # its seed is overwritten before every row
-    rng = np.random.Generator(bitgen)
+    fill = _row_draw(spec, np.random.Generator(bitgen))
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     out = np.empty((replications, n))
-    for r, (state, inc) in enumerate(states):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        out[r] = _draw(spec, n, rng)
-    return out
+    for row, (state, inc) in zip(out, states):
+        pcg["state"], pcg["inc"] = state, inc
+        bitgen.state = full
+        fill(row)
+    return _standardize(spec, out)
 
 
 def noise_sigma(signal: Sequence, snr_db: float) -> float:

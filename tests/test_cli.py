@@ -192,6 +192,14 @@ class TestTestCommand:
         src = self.write_ensemble(tmp_path, np.zeros((16, 60)))
         assert run("test", "--in", src, "--out-dir", str(tmp_path / "r")) == 2
 
+    def test_constant_ensemble_too_long_for_fft_exits_config(self, tmp_path, capsys):
+        # records longer than the FFT length are a flag error whatever the values
+        src = self.write_ensemble(tmp_path, np.ones((20, 100)))
+        out_dir = tmp_path / "r"
+        assert run("test", "--in", src, "--fft-len", "64", "--out-dir", str(out_dir)) == 1
+        assert "longer than the FFT length" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_gaussian_ensemble_report(self, tmp_path, capsys):
         table = np.random.default_rng(3).standard_normal((64, 60))
         src = self.write_ensemble(tmp_path, table)

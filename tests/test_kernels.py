@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polygauss as pg
@@ -10,6 +10,13 @@ from polygauss import _kernels
 
 def random_frames(rng, R=32, M=64):
     return np.fft.fft(rng.standard_normal((R, M)), axis=1)
+
+
+def chunked_frames(half, full_chunks, last):
+    # frame count that fills full_chunks of principal_triples' frame chunks at
+    # M = 2 * half and leaves `last` frames for one more chunk
+    rc = max(1, _kernels._CHUNK_POINTS // len(pg.principal_domain(2 * half)))
+    return full_chunks * rc + last
 
 
 class TestNumpyKernels:
@@ -56,6 +63,11 @@ class TestNumpyKernels:
 class TestPrincipalTriples:
     @settings(max_examples=60, deadline=None)
     @given(R=st.integers(1, 40), half=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+    # the running sums carried across frame chunks, the last one a single frame
+    @example(R=chunked_frames(4, 1, 1), half=4, seed=1)
+    @example(R=chunked_frames(8, 2, 1), half=8, seed=2)
+    @example(R=chunked_frames(64, 2, 1), half=64, seed=3)
+    @example(R=chunked_frames(64, 5, 9), half=64, seed=4)
     def test_bitwise_equal_to_grid_at_principal_points(self, sequential_triple_grid,
                                                        R, half, seed):
         M = 2 * half

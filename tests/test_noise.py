@@ -59,6 +59,20 @@ class TestDrawNoise:
         k = pg.excess_kurtosis(pg.Ensemble(w[None, :]))
         assert abs(k - target) < tol
 
+    @pytest.mark.parametrize("spec,public", [
+        (pg.NoiseSpec("gaussian"), lambda g, n: g.standard_normal(n)),
+        (pg.NoiseSpec("laplacian"), lambda g, n: g.laplace(0.0, 1.0 / math.sqrt(2.0), n)),
+        (pg.NoiseSpec("uniform"), lambda g, n: g.uniform(-math.sqrt(3.0), math.sqrt(3.0), n)),
+        (pg.NoiseSpec("gamma"), lambda g, n: (g.gamma(9.0, 1.0, n) - 9.0) / math.sqrt(9.0)),
+        (pg.NoiseSpec("gamma", gamma_shape=2.5),
+         lambda g, n: (g.gamma(2.5, 1.0, n) - 2.5) / math.sqrt(2.5)),
+    ], ids=["gaussian", "laplacian", "uniform", "gamma", "gamma-2.5"])
+    def test_bitwise_equal_to_public_numpy_call(self, spec, public):
+        for seed, r, n in ((0, 0, 1), (7, 3, 60), (2**40 + 5, 11, 257)):
+            got = pg.draw_noise(spec, n, pg.RngStream(seed, r))
+            ref = public(np.random.default_rng((seed, r)), n)
+            assert got.tobytes() == ref.tobytes()
+
     def test_determinism(self):
         spec = pg.NoiseSpec("laplacian")
         a = pg.draw_noise(spec, 100, pg.RngStream(42, 7))
