@@ -63,6 +63,9 @@ class ExperimentConfig:
         object.__setattr__(self, "families", tuple(self.families))
         for fam in self.families:  # rejects unknown families and bad shapes before any draw
             NoiseSpec(fam, self.gamma_shape)
+        if len(set(self.families)) != len(self.families):
+            # one report per family: a repeat would overwrite its files and summary entry
+            raise ConfigError(f"noise families must be distinct, got {list(self.families)}")
         if self.grid.count < ORDER_RANGE[-1]:
             raise ConfigError(f"the grid needs at least {ORDER_RANGE[-1]} points")
         # an SNR of +-inf is a setting whose zero or infinite noise run_experiment rejects

@@ -46,7 +46,8 @@ class SampleGrid:
             raise ConfigError("grid needs at least two points")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("grid points must be finite")
-        if np.any(np.diff(pts) <= 0):
+        # compared, not subtracted: the difference overflows on a span beyond float64
+        if not np.all(pts[1:] > pts[:-1]):
             raise ConfigError("grid points must be strictly increasing")
 
     @property
@@ -59,7 +60,9 @@ class SampleGrid:
             raise ConfigError("uniform grid needs n >= 2")
         if dt <= 0:
             raise ConfigError("uniform grid needs dt > 0")
-        return cls(np.arange(n) * dt)
+        # an overflow to inf, or 0 * inf = nan, is rejected below as a non-finite point
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(np.arange(n) * dt)
 
 
 @dataclass(frozen=True)

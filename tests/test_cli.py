@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import polygauss as pg
-from polygauss import csvio
 from polygauss.cli import main
 from polygauss.csvio import (
     read_table_csv,
@@ -24,6 +23,14 @@ from polygauss.csvio import (
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """Run the command line in a fresh interpreter, with Python's default warning filters."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(pg.__file__)), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "polygauss.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 class TestGenSignal:
@@ -49,6 +56,13 @@ class TestGenSignal:
     def test_unknown_flag(self, tmp_path):
         assert run("gen-signal", "--n", "4", "--dt", "1", "--bogus", "1",
                    "--out", str(tmp_path / "x.csv")) == 1
+
+    def test_overflowing_dt_rejected_without_warning(self, tmp_path):
+        proc = run_process("gen-signal", "--paper-signal", "--n", "60", "--dt", "1e308",
+                           "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 1
+        assert "grid points must be finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_component_with_paper_signal_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -85,6 +99,15 @@ class TestTransform:
         path = str(tmp_path / "in.csv")
         write_sequence_csv(path, pg.Sequence(np.asarray(values, float), grid))
         return path
+
+    @pytest.mark.parametrize("order, code", [("1", 0), ("2", 2)])
+    def test_span_beyond_float64_without_warning(self, tmp_path, order, code):
+        src = tmp_path / "in.csv"
+        src.write_text("index,time,value\n0,-1e308,1.0\n1,1e308,2.0\n")
+        proc = run_process("transform", "--in", str(src), "--order", order,
+                           "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == code, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_worked_projection(self, tmp_path):
         src = self.write_seq(tmp_path, [1.0, 0.0, 0.0])
@@ -466,31 +489,41 @@ class TestCsvReaders:
         _, got = read_table_csv(str(tmp_path / f"ens{ext}"))
         assert got.values.tobytes() == want.values.tobytes() == self.TABLE.tobytes()
 
+    @pytest.mark.parametrize("blank", [False, True], ids=["clean", "blank_lines"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
-    def test_line_endings_match_line_stream(self, tmp_path, newline):
+    def test_line_endings(self, tmp_path, newline, blank):
+        text = _ensemble_text(self.TABLE)
+        if blank:  # whitespace-only lines send the body to the parse from the open handle
+            text = text.replace("\n0,5,", "\n \t\n0,5,").replace("\n7,", "\n\n7,", 1)
         path = tmp_path / "ens.csv"
-        path.write_bytes(_ensemble_text(self.TABLE).replace("\n", newline).encode())
-        header, table = csvio._stream_table(str(path))
-        assert header == ["rep", "index", "value"] and table.size == self.TABLE.size
-        _, ens = read_table_csv(str(path))
-        assert ens.values.tobytes() == table["value"].reshape(self.TABLE.shape).tobytes()
-        assert ens.values.tobytes() == self.TABLE.tobytes()
-
-    def test_clean_body_skips_line_stream(self, tmp_path, monkeypatch):
-        streamed = []
-        ascii_rows = csvio._ascii_rows
-
-        def counted(path, fh):
-            for row in ascii_rows(path, fh):
-                streamed.append(row)
-                yield row
-
-        monkeypatch.setattr(csvio, "_ascii_rows", counted)
-        path = tmp_path / "ens.csv"
-        path.write_text(_ensemble_text(self.TABLE))
+        path.write_bytes(text.replace("\n", newline).encode())
         _, ens = read_table_csv(str(path))
         assert ens.values.tobytes() == self.TABLE.tobytes()
-        assert len(streamed) == 2  # the header and the first of the 1000 rows
+
+    # the file must be ASCII throughout, whitespace-only lines included
+    @pytest.mark.parametrize("blank", ["\u00a0", " \u3000 "], ids=["no_break", "ideographic"])
+    def test_non_ascii_blank_line_exits_config(self, tmp_path, capsys, blank):
+        src = tmp_path / "ens.csv"
+        src.write_text(_ensemble_text(self.TABLE).replace("\n0,5,", f"\n{blank}\n0,5,"),
+                       encoding="utf-8")
+        assert run("test", "--in", str(src), "--out-dir", str(tmp_path / "r")) == 1
+        err = capsys.readouterr().err
+        assert str(src) in err and "ASCII" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lead", ["", "\n \t\n\r\n"], ids=["clean", "blank_lead"])
+    def test_clean_body_one_loadtxt_on_path(self, tmp_path, monkeypatch, lead):
+        sources, loadtxt = [], np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        path = tmp_path / "ens.csv"
+        path.write_text(lead + _ensemble_text(self.TABLE))
+        _, ens = read_table_csv(str(path))
+        assert ens.values.tobytes() == self.TABLE.tobytes()
+        assert sources == [str(path)]  # the chunked C reader parsed all 1000 rows
 
 
 class TestSimulate:
@@ -558,6 +591,14 @@ class TestSimulate:
                    "--seed", "1", "--out-dir", str(out_dir)) == 1
         err = capsys.readouterr().err
         assert "'cauchy'" in err and str(pg.NOISE_FAMILIES) in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_repeated_family_rejected_before_draws(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--noise", "gaussian", "gaussian", "--reps", "16",
+                   "--seed", "1", "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert "distinct" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_nan_snr_rejected_before_draws(self, tmp_path, capsys):

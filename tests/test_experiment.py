@@ -114,6 +114,7 @@ class TestRunExperiment:
         {"fft_len": 0},
         {"fft_len": 32},  # shorter than the 60-point reference records
         {"bins": 0},
+        {"families": ("gaussian", "gamma", "gaussian")},  # one report per family
     ])
     def test_setup_checked_at_construction(self, setup):
         with pytest.raises(pg.ConfigError):

@@ -104,11 +104,22 @@ class TestBuildBasis:
         npt.assert_array_equal(full.recurrence_a[:J - 1], part.recurrence_a[:J - 1])
         npt.assert_array_equal(full.recurrence_b[:J - 1], part.recurrence_b[:J - 1])
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning must not come first
     def test_grid_validation(self):
         with pytest.raises(pg.ConfigError):
             pg.SampleGrid(np.array([0.0, 0.0, 1.0]))
         with pytest.raises(pg.ConfigError):
             pg.SampleGrid(np.array([1.0]))
+        with pytest.raises(pg.ConfigError):
+            pg.SampleGrid(np.array([1e308, -1e308]))
+        for dt in (1e308, np.inf):
+            with pytest.raises(pg.ConfigError, match="finite"):
+                pg.SampleGrid.uniform(60, dt)
+
+    @pytest.mark.filterwarnings("error")
+    def test_span_beyond_float64_without_warning(self):
+        # the neighbours' difference overflows float64; the order check never forms it
+        assert pg.SampleGrid(np.array([-1e308, 1e308])).count == 2
 
 
 class TestProjectionOperator:
