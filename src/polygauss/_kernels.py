@@ -6,7 +6,7 @@ principal bifrequency domain that the bicoherence reads (``principal_index``).
 It gathers every point at once, one chunk of frames at a time, so its
 temporaries are one chunk of about 256 KB, never ``(R, F, F)``.
 ``gram_recurrence`` runs the three-term recurrence of the discrete orthogonal
-polynomials.
+polynomials and returns their values and squared norms.
 """
 
 import numpy as np
@@ -65,14 +65,12 @@ def principal_triples(X):
 
 
 def gram_recurrence(t, J):
-    # a_j, b_j and q_j are held as Python floats and each new row is formed in
+    # a_j and b_j are Python-float loop locals and each new row is formed in
     # place in P with one length-N scratch buffer; the operations and their
     # order are those of (t - a_j) * p_j - b_j * p_{j-1}, so every bit is too
     N = t.shape[0]
     P = np.zeros((J, N))
     q = [0.0] * J
-    a = [0.0] * J
-    b = [0.0] * J
     P[0] = 1.0
     q[0] = qj = float(N)
     rows = list(P)
@@ -82,12 +80,12 @@ def gram_recurrence(t, J):
             break
         pj, nxt = rows[j], rows[j + 1]
         np.multiply(pj, pj, s)
-        a[j] = aj = float(t.dot(s)) / qj
+        aj = float(t.dot(s)) / qj
         np.subtract(t, aj, nxt)
         np.multiply(nxt, pj, nxt)
         if j > 0:
-            b[j] = bj = qj / q[j - 1]
+            bj = qj / q[j - 1]
             np.multiply(rows[j - 1], bj, s)
             np.subtract(nxt, s, nxt)
         q[j + 1] = qj = float(nxt.dot(nxt))
-    return P, np.array(q), np.array(a), np.array(b)
+    return P, np.array(q)

@@ -64,19 +64,27 @@ def read_table_csv(path: str):
     except ValueError as exc:
         # loadtxt rejects rows with a wrong field count or a field that is not a number
         raise ConfigError(f"{path}: malformed row ({exc})") from None
+    try:
+        return _table_object(header, table)
+    except ConfigError as exc:  # the grid, sequence and ensemble checks, with the path
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _table_object(header, table):
+    """The Sequence or Ensemble that a parsed table holds."""
     if header[0] == "index":
         if not np.array_equal(table["index"], np.arange(table.size)):
-            raise ConfigError(f"{path}: sequence index must run 0..N-1 in file order")
+            raise ConfigError("sequence index must run 0..N-1 in file order")
         # contiguous copies: matmul sums a strided field view in another order (last-bit changes)
         return "sequence", Sequence(table["value"].copy(), SampleGrid(table["time"].copy()))
     reps, idx = table["rep"], table["index"]
     if reps.min() < 0 or idx.min() < 0:
-        raise ConfigError(f"{path}: ensemble needs rows with non-negative rep and index")
+        raise ConfigError("ensemble needs rows with non-negative rep and index")
     n_rep, n_idx = int(reps.max()) + 1, int(idx.max()) + 1
     # the size check bounds the bincount; the counts reject duplicated or missing cells
     if (table.size != n_rep * n_idx
             or np.any(np.bincount(reps * n_idx + idx, minlength=table.size) != 1)):
-        raise ConfigError(f"{path}: ensemble table is not a full rep x index grid")
+        raise ConfigError("ensemble table is not a full rep x index grid")
     values = np.empty((n_rep, n_idx))
     values[reps, idx] = table["value"]
     from .gaussianity import Ensemble  # only an ensemble table needs the test battery's layer

@@ -33,7 +33,7 @@ from .noise import (
     noise_sigma,
     synth_signal,
 )
-from .ortho import OrderSelection, SampleGrid, _fit, select_order
+from .ortho import OrderSelection, SampleGrid, coefficients, select_order
 
 #: candidate approximation orders; the oracle risk picks one per study
 ORDER_RANGE = range(1, 4)
@@ -123,7 +123,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         spec = NoiseSpec(family=family, gamma_shape=config.gamma_shape)
         fam_seed = _family_seed(config.seed, family)
         W = draw_noise_ensemble(spec, config.replications, N, fam_seed) * sigma
-        E = _fit(basis.values, basis.norms, W + g.values) - g.values
+        E = coefficients(basis, W + g.values) @ basis.values - g.values
         try:
             inp = gaussianity_report(Ensemble(W), config.fft_len, config.bins)
             out = gaussianity_report(Ensemble(E), config.fft_len, config.bins)

@@ -11,8 +11,15 @@ Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
 coincide asymptotically for white Gaussian input, but the empirical normalizer
 also absorbs the doubled variance on the diagonal j == k and the cross-bin
-correlation of strongly colored processes, keeping the chi-squared null
-calibration honest in every case the battery is used for.
+correlation of strongly colored processes, which keeps the chi-squared null
+calibrated for input ensembles of independent records.
+
+It does not calibrate an output ensemble, the projection error of rank J: its
+bispectral bins are strongly dependent, so the 2 * n_pts degrees of freedom do
+not hold. For Gaussian noise through the reference study's J=3 projection, the
+output S had mean 265 and sd 225 against chi-squared(480), and the test
+rejected 0.125 of ensembles at 0.05. The output PFA is therefore uncalibrated;
+ROADMAP item 3 plans a calibrated test on the coefficients.
 """
 
 import math
@@ -121,6 +128,9 @@ def _frames_fft(ensemble: Ensemble, fft_len: int) -> np.ndarray:
         raise InsufficientFramesError(
             f"need at least {MIN_FRAMES} records, got {ensemble.replications}"
         )
+    if ensemble.replications * int(fft_len) * 16 > np.iinfo(np.intp).max:  # complex128 frames
+        raise ConfigError(f"{ensemble.replications} FFT frames of length {fft_len} "
+                          "are larger than any array")
     v = ensemble.values
     # Remove the per-index ensemble mean: deterministic structure shared by
     # all records (e.g. residual fitting bias) is not randomness under test.
@@ -286,6 +296,8 @@ def histogram(values, bins: int) -> Histogram:
     v = np.asarray(values, dtype=np.float64).ravel()
     if bins < 1:
         raise ConfigError("need at least one bin")
+    if (int(bins) + 1) * 8 > np.iinfo(np.intp).max:  # the float64 edges
+        raise ConfigError(f"the edges of {bins} histogram bins are larger than any array")
     if v.size == 0:
         raise ConfigError("histogram needs at least one value")
     lo, hi = float(v.min()), float(v.max())

@@ -11,10 +11,10 @@ Projecting data onto the first J polynomials gives the smoothing transform
 y = P Q^-1 P^T x; the projector's entries are the error-mixing coefficients
 that relate the post-transform error process to the raw noise.
 
-Order selection scores every candidate order from one basis build: the
-coefficients c_j = <x, p_j> / q_j do not depend on J, so the order-J fit is the
-partial sum c_0 p_0 + ... + c_{J-1} p_{J-1}, and the whole risk curve costs
-O(N J) on top of the build.
+Coefficients c_j = <x, p_j> / q_j are formed in one place, ``coefficients``,
+and every fit is their synthesis C @ P. They do not depend on J, so order
+selection scores every candidate order from one basis build: the order-J fit is
+the partial sum c_0 p_0 + ... + c_{J-1} p_{J-1}, and the curve costs O(N J).
 """
 
 from dataclasses import dataclass, field
@@ -60,6 +60,8 @@ class SampleGrid:
             raise ConfigError("uniform grid needs n >= 2")
         if dt <= 0:
             raise ConfigError("uniform grid needs dt > 0")
+        if int(n) * 8 > np.iinfo(np.intp).max:  # checked here: arange raises, or wraps to empty
+            raise ConfigError(f"a uniform grid of {n} points is larger than any array")
         # an overflow to inf, or 0 * inf = nan, is rejected below as a non-finite point
         with np.errstate(over="ignore", invalid="ignore"):
             return cls(np.arange(n) * dt)
@@ -88,8 +90,6 @@ class PolynomialBasis:
     grid: SampleGrid
     values: np.ndarray        # (J, N), row j holds p_j evaluated on the grid
     norms: np.ndarray         # (J,) squared norms q_j
-    recurrence_a: np.ndarray
-    recurrence_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,24 +113,12 @@ def build_basis(grid: SampleGrid, order: int) -> PolynomialBasis:
         raise OrderRangeError(f"order {order} outside [1, {N}]")
     # overflow or nan in the recurrence is what the finiteness check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        P, q, a, b = _kernels.gram_recurrence(grid.points, order)
+        P, q = _kernels.gram_recurrence(grid.points, order)
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q))):
         raise DegenerateGridError("recurrence produced non-finite values")
     if np.any(q <= _Q_FLOOR):
         raise DegenerateGridError("polynomial norm underflow; grid is numerically degenerate")
-    return PolynomialBasis(grid=grid, values=P, norms=q, recurrence_a=a, recurrence_b=b)
-
-
-def _leading(basis: PolynomialBasis, order: int) -> PolynomialBasis:
-    """The first ``order`` polynomials of ``basis``, equal to ``build_basis(grid, order)``.
-
-    The recurrence is prefix-nested, so the rows and norms are those of the
-    lower-order build; like it, the copy keeps a_j and b_j only for j < order - 1.
-    """
-    a, b = basis.recurrence_a[:order].copy(), basis.recurrence_b[:order].copy()
-    a[order - 1] = b[order - 1] = 0.0
-    return PolynomialBasis(basis.grid, basis.values[:order].copy(), basis.norms[:order].copy(),
-                           a, b)
+    return PolynomialBasis(grid=grid, values=P, norms=q)
 
 
 def projection_operator(basis: PolynomialBasis) -> ProjectionOperator:
@@ -138,16 +126,16 @@ def projection_operator(basis: PolynomialBasis) -> ProjectionOperator:
     return ProjectionOperator(basis)
 
 
-def _fit(P: np.ndarray, q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Project each row of ``X`` onto the rows of ``P`` (squared norms ``q``): ((X P^T)/q) P."""
-    return (X @ P.T) / q @ P
+def coefficients(basis: PolynomialBasis, X: np.ndarray) -> np.ndarray:
+    """(X P^T) / q: the coefficients of each record of ``X``; their fit is ``C @ P``."""
+    return (X @ basis.values.T) / basis.norms
 
 
 def transform(op: ProjectionOperator, x: Sequence) -> Sequence:
     """Project ``x`` onto the polynomial subspace via the O(NJ) coefficient route."""
     if x.grid.count != op.basis.grid.count:
         raise DimensionError("sequence grid does not match operator grid")
-    return Sequence(_fit(op.basis.values, op.basis.norms, x.values), x.grid)
+    return Sequence(coefficients(op.basis, x.values) @ op.basis.values, x.grid)
 
 
 def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarray:
@@ -194,9 +182,9 @@ def select_order(
     ``j_range`` must hold distinct integer orders in ascending order.  The
     recurrence is prefix-nested (the first J rows of the order-K basis are the
     order-J basis), so the basis is built once at the maximum order K.  The
-    coefficients ``c = (x P^T) / q`` are formed once, and every order-J fit is
-    the running partial sum of ``c_j p_j`` over the first J rows, formed in one
-    (K, N) work buffer; RSS(J) is the row sum of its squared residual.  The
+    coefficients are formed once, and every order-J fit is the running partial
+    sum of ``c_j p_j`` over the first J rows, formed in one (K, N) work buffer;
+    RSS(J) is the row sum of its squared residual.  The
     residual is formed explicitly rather than as the tail sum of ``c_j^2 q_j``,
     which would assume orthogonality the recurrence loses at high orders.  The
     selection carries the chosen order's basis, cut from that one build.
@@ -229,7 +217,7 @@ def select_order(
 
     full = build_basis(grid, orders[-1])
     P = full.values
-    c = (data @ P.T) / full.norms
+    c = coefficients(full, data)
     # row J - 1 of the work buffer becomes the order-J fit sum_{j<J} c_j p_j as a
     # running sum over the rows, then that fit's squared residual
     work = np.multiply(P, c[:, None])
@@ -241,4 +229,5 @@ def select_order(
     del work  # freed before the chosen rows are copied: the peak stays at two (K, N) arrays
     # argmin takes the first minimum, so ties break toward the smaller order
     chosen = orders[int(np.argmin(risks))]
-    return OrderSelection(chosen, tuple(zip(orders, risks.tolist())), _leading(full, chosen))
+    return OrderSelection(chosen, tuple(zip(orders, risks.tolist())),
+                          PolynomialBasis(grid, P[:chosen].copy(), full.norms[:chosen].copy()))

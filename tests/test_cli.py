@@ -345,10 +345,15 @@ class TestMalformedCsv:
         _indexed_sequence([*range(511), 512]),                      # skipped index
         _indexed_sequence([0, 2, 1, *range(3, 512)]),               # out-of-order indices
         "rep,index,value\n0,0,\u00a01.0\n",                         # non-ASCII space
+        # the grid, sequence and ensemble checks
+        "index,time,value\n0,0.0,1.0\n",                           # one-point grid
+        "index,time,value\n0,1.0,1.0\n1,0.5,2.0\n",               # decreasing time
+        "rep,index,value\n0,0,1.0\n0,1,inf\n",                     # non-finite value
     ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence",
             "extra_field", "extra_sequence_field", "comment_char", "quoted_field",
             "non_integer_rep", "whitespace_body", "no_sequence_rows", "duplicate_index",
-            "skipped_index", "unordered_index", "non_ascii_space"])
+            "skipped_index", "unordered_index", "non_ascii_space", "one_row",
+            "decreasing_time", "inf_value"])
     def test_exit_config_without_traceback(self, tmp_path, capsys, recwarn, text):
         src = tmp_path / "bad.csv"
         src.write_text(text)
@@ -660,6 +665,33 @@ class TestSimulate:
                    "--out-dir", str(tmp_path / "o")) == 1
         err = capsys.readouterr().err
         assert "--component" in err and "Traceback" not in err
+
+
+class TestOversizedSizeFlags:
+    # each size needs more bytes than any array can address, so it is rejected before
+    # numpy is asked for memory; none of these runs allocates more than a small study
+    @pytest.mark.parametrize("argv", [
+        ["test", "--in", "{ens}", "--fft-len", "4611686018427387904", "--out-dir", "{out}"],
+        ["simulate", "--paper", "--reps", "40", "--seed", "1", "--fft-len",
+         "4611686018427387904", "--out-dir", "{out}"],
+        ["gen-signal", "--n", "4611686018427387904", "--dt", "1", "--out", "{out}"],
+        ["gen-signal", "--n", "9223372036854775807", "--dt", "1", "--out", "{out}"],
+        ["test", "--in", "{ens}", "--bins", "9223372036854775807", "--out-dir", "{out}"],
+        ["simulate", "--paper", "--reps", "40", "--seed", "1", "--bins", "9223372036854775807",
+         "--out-dir", "{out}"],
+        ["test", "--in", "{ens}", "--bins", "99999999999999999999", "--out-dir", "{out}"],
+    ], ids=["test_fft_len", "simulate_fft_len", "gen_signal_n", "gen_signal_n_max",
+            "test_bins", "simulate_bins", "test_bins_beyond_int64"])
+    def test_exits_config_with_one_error_line(self, tmp_path, capsys, argv):
+        ens = tmp_path / "ens.csv"
+        ens.write_text("rep,index,value\n" + "".join(
+            f"{r},{i},{np.sin(3 * r + i)}\n" for r in range(20) for i in range(30)))
+        out = tmp_path / "o"
+        assert run(*(a.format(ens=ens, out=out) for a in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "larger than any array" in err
+        assert not out.exists()
 
 
 class TestOutOfMemory:

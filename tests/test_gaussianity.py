@@ -452,6 +452,12 @@ class TestHistogram:
         npt.assert_array_equal(h.edges, [0.0, 0.5, 1.0])
         npt.assert_array_equal(h.counts, [2, 1])
 
+    @pytest.mark.parametrize("bins", [2**63 - 1, 10**20, np.int64(2**63 - 1)])
+    def test_bins_beyond_any_array_rejected(self, bins):
+        # np.linspace would raise IndexError or ValueError; nothing is allocated
+        with pytest.raises(pg.ConfigError, match="larger than any array"):
+            pg.histogram([0.0, 1.0], bins)
+
     def test_identical_values(self):
         h = pg.histogram([3.0] * 7, 4)
         assert h.total == 7

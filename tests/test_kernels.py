@@ -44,11 +44,11 @@ class TestNumpyKernels:
         npt.assert_allclose(msq, (np.abs(T) ** 2).mean(axis=0), rtol=1e-12)
 
     def test_gram_recurrence_three_points(self):
-        P, q, a, b = _kernels.gram_recurrence(np.array([0.0, 1.0, 2.0]), 3)
+        # P_1 = t - a_0 pins a_0 = 1, and P_2 = (t - a_1) P_1 - b_1 P_0 pins b_1 = 2/3
+        P, q = _kernels.gram_recurrence(np.array([0.0, 1.0, 2.0]), 3)
         npt.assert_allclose(P[1], [-1.0, 0.0, 1.0], atol=1e-15)
-        npt.assert_allclose(q[:2], [3.0, 2.0], atol=1e-15)
-        assert a[0] == pytest.approx(1.0)
-        assert b[1] == pytest.approx(2.0 / 3.0)
+        npt.assert_allclose(P[2], [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
+        npt.assert_allclose(q, [3.0, 2.0, 2 / 3], atol=1e-15)
 
     @pytest.mark.parametrize("t,J", [
         (np.arange(240) * 0.0375, 240),

@@ -35,7 +35,6 @@ class TestBuildBasis:
         npt.assert_allclose(b.values[0], [1, 1, 1], atol=1e-15)
         npt.assert_allclose(b.values[1], [-1, 0, 1], atol=1e-15)
         npt.assert_allclose(b.norms, [3, 2], atol=1e-15)
-        assert b.recurrence_a[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_worked_three_point_j3(self):
         b = pg.build_basis(GRID3, 3)
@@ -100,9 +99,6 @@ class TestBuildBasis:
         full, part = pg.build_basis(grid, K), pg.build_basis(grid, J)
         npt.assert_array_equal(full.values[:J], part.values)
         npt.assert_array_equal(full.norms[:J], part.norms)
-        # an order-J build computes a_j and b_j only for j < J - 1
-        npt.assert_array_equal(full.recurrence_a[:J - 1], part.recurrence_a[:J - 1])
-        npt.assert_array_equal(full.recurrence_b[:J - 1], part.recurrence_b[:J - 1])
 
     @pytest.mark.filterwarnings("error")  # an overflow warning must not come first
     def test_grid_validation(self):
@@ -115,6 +111,9 @@ class TestBuildBasis:
         for dt in (1e308, np.inf):
             with pytest.raises(pg.ConfigError, match="finite"):
                 pg.SampleGrid.uniform(60, dt)
+        for n in (2**62, 2**63 - 1, np.int64(2**62)):  # arange raises, or wraps to empty
+            with pytest.raises(pg.ConfigError, match="larger than any array"):
+                pg.SampleGrid.uniform(n, 1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_span_beyond_float64_without_warning(self):
@@ -188,6 +187,18 @@ class TestTransform:
             x = rng.standard_normal(60)
             y = pg.transform(op, pg.Sequence(x, grid))
             npt.assert_allclose(y.values, op.xi @ x, atol=1e-12)
+
+    def test_coefficients_of_an_ensemble(self):
+        from polygauss.ortho import coefficients
+
+        basis = pg.build_basis(pg.SampleGrid.uniform(60, 0.15), 7)
+        X = np.random.default_rng(23).standard_normal((50, 60))
+        C = coefficients(basis, X)
+        assert C.shape == (50, 7)
+        # C @ P is the orthogonal projection: its residual is orthogonal to every row
+        inner = (X - C @ basis.values) @ basis.values.T
+        scale = np.linalg.norm(X, axis=1)[:, None] * np.sqrt(basis.norms)
+        assert np.all(np.abs(inner) <= 1e-13 * scale)
 
     def test_low_order_never_forms_dense_projector(self):
         N = 2000
@@ -358,12 +369,10 @@ class TestSelectOrder:
     def test_one_basis_build_and_no_per_order_fit(self, monkeypatch):
         from polygauss import ortho
 
-        def no_fit(*args):
-            raise AssertionError("select_order fitted one order at a time")
-
-        builds = []
-        build_basis = ortho.build_basis
-        monkeypatch.setattr(ortho, "_fit", no_fit)
+        builds, fits = [], []
+        build_basis, coefficients = ortho.build_basis, ortho.coefficients
+        monkeypatch.setattr(ortho, "coefficients",
+                            lambda *a: fits.append(a[0].values.shape[0]) or coefficients(*a))
         monkeypatch.setattr(ortho, "build_basis",
                             lambda *a: builds.append(a[1]) or build_basis(*a))
         grid = pg.SampleGrid.uniform(60, 0.15)
@@ -371,6 +380,7 @@ class TestSelectOrder:
         sel = pg.select_order(grid, "penalized", None, observed=x, noise_var=0.5)
         assert len(sel.risk_curve) == 60
         assert builds == [60]
+        assert fits == [60]  # one coefficient pass on the one build, not one per order
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 4.0), st.data())
@@ -385,7 +395,7 @@ class TestSelectOrder:
                               noise_var=noise_var)
         ref = pg.build_basis(grid, sel.chosen)
         assert sel.basis.grid is grid
-        for name in ("values", "norms", "recurrence_a", "recurrence_b"):
+        for name in ("values", "norms"):
             npt.assert_array_equal(getattr(sel.basis, name), getattr(ref, name))
 
     @pytest.mark.parametrize("mode", ["oracle", "penalized"])
