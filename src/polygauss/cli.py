@@ -86,6 +86,7 @@ def cmd_test(args) -> int:
     from .gaussianity import (
         REFERENCE_BINS,
         REFERENCE_FFT_LEN,
+        _validate_bins,
         _validate_fft_len,
         gaussianity_report,
         segment_record,
@@ -93,13 +94,13 @@ def cmd_test(args) -> int:
 
     fft_len = REFERENCE_FFT_LEN if args.fft_len is None else args.fft_len
     bins = REFERENCE_BINS if args.bins is None else args.bins
-    # the flags are checked before the table is read, not after the battery has run
-    try:
-        _validate_fft_len(fft_len)
-    except ConfigError as exc:
-        raise ConfigError(f"--fft-len: {exc}") from None
-    if bins < 1:
-        raise ConfigError("--bins: need at least one bin")
+    # the flags, with one frame's and the edges' sizes, are checked before the table is read
+    for flag, validate, value in (("--fft-len", _validate_fft_len, fft_len),
+                                  ("--bins", _validate_bins, bins)):
+        try:
+            validate(value)
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
     kind, data = read_table_csv(args.infile)
     if kind == "sequence":
         ens = segment_record(data.values, fft_len)

@@ -22,6 +22,7 @@ from .gaussianity import (
     REFERENCE_FFT_LEN,
     Ensemble,
     GaussianityReport,
+    _validate_bins,
     _validate_fft_len,
     gaussianity_report,
 )
@@ -72,12 +73,12 @@ class ExperimentConfig:
         # as degenerate data; nan is no setting at all
         if math.isnan(self.snr_db):
             raise ConfigError("the SNR in dB must be a number, got nan")
-        _validate_fft_len(self.fft_len)
+        # sized for the R frames of one report, so no family is drawn before a size is rejected
+        _validate_fft_len(self.fft_len, self.replications)
         if self.grid.count > self.fft_len:
             raise ConfigError(f"records of {self.grid.count} points are longer than "
                               f"the FFT length {self.fft_len}")
-        if self.bins < 1:
-            raise ConfigError("need at least one histogram bin")
+        _validate_bins(self.bins)
 
     @classmethod
     def reference(cls, replications: int, seed: int, **setup) -> "ExperimentConfig":

@@ -115,22 +115,34 @@ class GaussianityReport:
     replications: int
 
 
-def _validate_fft_len(fft_len: int) -> None:
+def _require_array_bytes(nbytes: int, what: str) -> None:
+    # checked before numpy is asked for the array, which would raise or wrap the size
+    if nbytes > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} are larger than any array")
+
+
+def _validate_fft_len(fft_len: int, frames: int = 1) -> None:
+    """An even FFT length of at least 8 whose ``frames`` complex128 frames fit one array."""
     if fft_len % 2 != 0 or fft_len < 8:
         raise ConfigError("FFT length must be even and at least 8")
+    _require_array_bytes(int(frames) * int(fft_len) * 16, f"the {frames} x {fft_len} FFT frames")
+
+
+def _validate_bins(bins: int) -> None:
+    """At least one histogram bin, with float64 edges that fit one array."""
+    if bins < 1:
+        raise ConfigError("need at least one bin")
+    _require_array_bytes((int(bins) + 1) * 8, f"the edges of {bins} histogram bins")
 
 
 def _frames_fft(ensemble: Ensemble, fft_len: int) -> np.ndarray:
-    _validate_fft_len(fft_len)
+    _validate_fft_len(fft_len, ensemble.replications)
     if ensemble.record_length > fft_len:
         raise ConfigError("records longer than the FFT length")
     if ensemble.replications < MIN_FRAMES:
         raise InsufficientFramesError(
             f"need at least {MIN_FRAMES} records, got {ensemble.replications}"
         )
-    if ensemble.replications * int(fft_len) * 16 > np.iinfo(np.intp).max:  # complex128 frames
-        raise ConfigError(f"{ensemble.replications} FFT frames of length {fft_len} "
-                          "are larger than any array")
     v = ensemble.values
     # Remove the per-index ensemble mean: deterministic structure shared by
     # all records (e.g. residual fitting bias) is not randomness under test.
@@ -294,10 +306,7 @@ def _kurtosis(v: np.ndarray) -> float:
 def histogram(values, bins: int) -> Histogram:
     """Uniform-bin histogram over [min, max] of the values, in their units."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    if bins < 1:
-        raise ConfigError("need at least one bin")
-    if (int(bins) + 1) * 8 > np.iinfo(np.intp).max:  # the float64 edges
-        raise ConfigError(f"the edges of {bins} histogram bins are larger than any array")
+    _validate_bins(bins)
     if v.size == 0:
         raise ConfigError("histogram needs at least one value")
     lo, hi = float(v.min()), float(v.max())

@@ -7,7 +7,7 @@ population variance: standard normal; Laplacian with scale 1/sqrt(2); uniform
 on [-sqrt(3), sqrt(3)]; gamma(k) shifted by -k and divided by sqrt(k).
 
 The ``np.random.Generator`` annotations are quoted, so importing this module
-does not load ``numpy.random``; the first draw or stream state does.
+does not load ``numpy.random``; the first draw does.
 """
 
 import math
@@ -92,22 +92,22 @@ def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
     return Sequence(g, grid)
 
 
-def _row_draw(spec: NoiseSpec, rng: "np.random.Generator"):
-    """A function that fills one row in place with the family's draws from ``rng``.
+def _row_draw(spec: NoiseSpec):
+    """A function ``fill(rng, row)`` that fills one row in place with the family's draws.
 
     The gamma family's rows hold the raw unit-scale draws; ``_standardize``
     shifts and scales them.
     """
     if spec.family == "gaussian":
-        return lambda row: rng.standard_normal(out=row)
+        return lambda rng, row: rng.standard_normal(out=row)
     if spec.family == "laplacian":
         scale = 1.0 / math.sqrt(2.0)
-        return lambda row: np.copyto(row, rng.laplace(loc=0.0, scale=scale, size=row.size))
+        return lambda rng, row: np.copyto(row, rng.laplace(loc=0.0, scale=scale, size=row.size))
     if spec.family == "uniform":
         r = math.sqrt(3.0)
-        return lambda row: np.copyto(row, rng.uniform(-r, r, size=row.size))
+        return lambda rng, row: np.copyto(row, rng.uniform(-r, r, size=row.size))
     k = spec.gamma_shape
-    return lambda row: rng.standard_gamma(k, out=row)
+    return lambda rng, row: rng.standard_gamma(k, out=row)
 
 
 def _standardize(spec: NoiseSpec, out: np.ndarray) -> np.ndarray:
@@ -124,19 +124,17 @@ def draw_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
     if n < 1:
         raise ConfigError("need at least one draw")
     out = np.empty(n)
-    _row_draw(spec, stream.generator())(out)
+    _row_draw(spec)(stream.generator(), out)
     return _standardize(spec, out)
 
 
 # numpy.random.SeedSequence hashing constants (numpy/random/bit_generator.pyx);
 # NEP 19 keeps SeedSequence and PCG64 stream-stable across numpy releases.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _hash_steps(const: int, mult: int):
@@ -153,12 +151,11 @@ def _hashmix(value: np.ndarray, steps) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def _pcg64_states(seed: int, count: int) -> list:
-    """``(state, inc)`` of ``default_rng((seed, r)).bit_generator`` for every ``r < count``.
+def _seed_words(seed: int, count: int) -> np.ndarray:
+    """Row ``r < count`` is ``SeedSequence((seed, r)).generate_state(4, np.uint64)``.
 
     ``SeedSequence`` hashes the entropy ``(seed, r)`` with constants that do not
     depend on the data, so its uint32 pool is computed for every index at once.
-    The 128-bit PCG64 seeding step then runs in Python ints.
     """
     if count - 1 > _MASK32:
         raise ConfigError("stream indices must fit one 32-bit word")
@@ -179,37 +176,39 @@ def _pcg64_states(seed: int, count: int) -> list:
 
     # generate_state(4, np.uint64): eight words cycled from the pool, paired little-endian
     steps = _hash_steps(_INIT_B, _MULT_B)
-    out = [_hashmix(pool[i % _POOL_SIZE], steps).astype(np.uint64) for i in range(8)]
-    s_hi, s_lo, i_hi, i_lo = (out[2 * k] | out[2 * k + 1] << np.uint64(32) for k in range(4))
+    out = np.stack([_hashmix(pool[i % _POOL_SIZE], steps) for i in range(8)], axis=1)
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
-    # pcg64_set_seed: inc = 2*initseq + 1, then two LCG steps around adding initstate
-    pairs = []
-    for sh, sl, ih, il in zip(s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()):
-        inc = ((ih << 64 | il) << 1 | 1) & _MASK128
-        pairs.append((((inc + (sh << 64 | sl)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return pairs
+
+class _SeedWords:
+    """One row's seed sequence: PCG64 seeds itself in C from ``generate_state(4, np.uint64)``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
 
 
 def draw_noise_ensemble(spec: NoiseSpec, replications: int, n: int, seed: int) -> np.ndarray:
     """``(replications, n)`` draws; row ``r`` equals ``draw_noise(spec, n, RngStream(seed, r))``.
 
-    The rows come bit for bit from the streams ``default_rng((seed, r))``, but
-    one generator is reused and loaded with each stream's precomputed state.
+    Row ``r``'s PCG64 is seeded with the words ``SeedSequence((seed, r))`` would
+    give it, hashed for all rows in one pass, so it is ``default_rng((seed, r))``.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")
     if n < 1:
         raise ConfigError("need at least one draw")
-    states = _pcg64_states(seed, replications)
-    bitgen = np.random.PCG64()  # its seed is overwritten before every row
-    fill = _row_draw(spec, np.random.Generator(bitgen))
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    words = _seed_words(seed, replications)  # checks the indices before out is allocated
+    # registered here, not at import, which would load numpy.random
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    fill = _row_draw(spec)
     out = np.empty((replications, n))
-    for row, (state, inc) in zip(out, states):
-        pcg["state"], pcg["inc"] = state, inc
-        bitgen.state = full
-        fill(row)
+    for row, row_words in zip(out, words):
+        fill(np.random.Generator(np.random.PCG64(_SeedWords(row_words))), row)
     return _standardize(spec, out)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import _kernels
 from .errors import (
     ConfigError,
+    DegenerateDataError,
     DegenerateGridError,
     DimensionError,
     InvalidCovarianceError,
@@ -187,7 +188,8 @@ def select_order(
     RSS(J) is the row sum of its squared residual.  The
     residual is formed explicitly rather than as the tail sum of ``c_j^2 q_j``,
     which would assume orthogonality the recurrence loses at high orders.  The
-    selection carries the chosen order's basis, cut from that one build.
+    selection carries the chosen order's basis, cut from that one build.  A
+    curve that overflows float64 raises ``DegenerateDataError``.
     """
     N = grid.count
     if mode not in ("oracle", "penalized"):
@@ -217,16 +219,21 @@ def select_order(
 
     full = build_basis(grid, orders[-1])
     P = full.values
-    c = coefficients(full, data)
     # row J - 1 of the work buffer becomes the order-J fit sum_{j<J} c_j p_j as a
-    # running sum over the rows, then that fit's squared residual
-    work = np.multiply(P, c[:, None])
-    np.cumsum(work, axis=0, out=work)
-    np.subtract(data, work, out=work)
-    np.square(work, out=work)
-    Js = np.array(orders)
-    risks = work.sum(axis=1)[Js - 1] / N + penalty * Js
+    # running sum over the rows, then that fit's squared residual; an overflow
+    # leaves inf or nan, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = coefficients(full, data)
+        work = np.multiply(P, c[:, None])
+        np.cumsum(work, axis=0, out=work)
+        np.subtract(data, work, out=work)
+        np.square(work, out=work)
+        Js = np.array(orders)
+        risks = work.sum(axis=1)[Js - 1] / N + penalty * Js
     del work  # freed before the chosen rows are copied: the peak stays at two (K, N) arrays
+    if not np.all(np.isfinite(risks)):
+        raise DegenerateDataError("the risk curve overflows float64: "
+                                  "the record or the noise variance is too large")
     # argmin takes the first minimum, so ties break toward the smaller order
     chosen = orders[int(np.argmin(risks))]
     return OrderSelection(chosen, tuple(zip(orders, risks.tolist())),

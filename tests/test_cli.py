@@ -190,6 +190,20 @@ class TestTransform:
         assert "risk curve" not in captured.out
         assert not out.exists()
 
+    @pytest.mark.parametrize("signal,sigma2", [
+        (["--component", "1e160,0,1,-1.5707963267948966"], "1"),  # 1e160 sin(t) overflows
+        (["--paper-signal"], "1e308"),           # 2 sigma^2 overflows
+    ])
+    def test_overflowing_risk_curve_exits_degenerate(self, tmp_path, signal, sigma2):
+        src, out = tmp_path / "sig.csv", tmp_path / "out.csv"
+        assert run("gen-signal", "--n", "240", "--dt", "0.0375", *signal, "--out", str(src)) == 0
+        proc = run_process("transform", "--in", str(src), "--order", "auto", "--sigma2", sigma2,
+                           "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: the risk curve") and proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr and "selected order" not in proc.stdout
+        assert not out.exists()
+
     def test_roundtrip_value_identical(self, tmp_path):
         vals = np.random.default_rng(2).standard_normal(10)
         grid = pg.SampleGrid.uniform(10, 0.15)
@@ -292,7 +306,12 @@ class TestTestCommand:
         assert doc["S"] == pytest.approx(rep.statistic, rel=1e-9)
         assert doc["kurtosis"] == pytest.approx(rep.avg_kurtosis, rel=1e-12)
 
-    @pytest.mark.parametrize("flags", [["--bins", "0"], ["--fft-len", "7"]])
+    @pytest.mark.parametrize("flags", [
+        ["--bins", "0"],
+        ["--fft-len", "7"],
+        ["--bins", "9223372036854775807"],  # edges beyond any array
+        ["--fft-len", "4611686018427387904"],  # one frame beyond any array
+    ])
     def test_bad_flag_rejected_before_reading(self, tmp_path, capsys, flags):
         # the input does not exist, so a command that read it first would exit 3
         out_dir = tmp_path / "r"
@@ -646,6 +665,8 @@ class TestSimulate:
         ("--fft-len", "3", "FFT length"),
         ("--fft-len", "8", "FFT length"),  # shorter than the 60-point records
         ("--bins", "0", "bin"),
+        ("--bins", "9223372036854775807", "larger than any array"),
+        ("--fft-len", "4611686018427387904", "larger than any array"),
     ])
     def test_bad_setup_rejected_before_draws(self, tmp_path, capsys, monkeypatch,
                                              flag, value, named):

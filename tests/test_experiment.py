@@ -120,6 +120,15 @@ class TestRunExperiment:
         with pytest.raises(pg.ConfigError):
             pg.ExperimentConfig.reference(replications=10, seed=1, **setup)
 
+    @pytest.mark.parametrize("setup", [{"bins": 2**63 - 1}, {"fft_len": 2**62}])
+    def test_oversized_setup_rejected_at_construction(self, monkeypatch, setup):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn before the sizes were checked")
+
+        monkeypatch.setattr(pg.experiment, "draw_noise_ensemble", no_draws)
+        with pytest.raises(pg.ConfigError, match="larger than any array"):
+            pg.run_experiment(pg.ExperimentConfig(40, 1, **setup))
+
     def test_input_ensemble_is_per_stream_draws(self):
         # run_experiment draws each family in one pass; rebuild it one stream at a time
         cfg = small_config(seed=5, reps=64, families=("gamma",))

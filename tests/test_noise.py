@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polygauss as pg
-from polygauss.noise import _pcg64_states
+from polygauss.noise import _seed_words
 
 REF_G0 = 1.0 + 0.5 * math.cos(math.pi / 4) + 0.5 * math.cos(math.pi / 6)
 
@@ -109,9 +109,11 @@ class TestDrawNoiseEnsemble:
     @example(seed=2**32, reps=5, n=7)      # the smallest two-word seed
     @example(seed=2**64 - 1, reps=5, n=7)
     def test_rows_equal_per_stream_draws(self, seed, reps, n):
-        for r, (state, inc) in enumerate(_pcg64_states(seed, reps)):
-            ref = np.random.PCG64(np.random.SeedSequence((seed, r))).state["state"]
-            assert (state, inc) == (ref["state"], ref["inc"])
+        words = _seed_words(seed, reps)
+        assert words.shape == (reps, 4) and words.dtype == np.uint64 and words.flags.c_contiguous
+        for r, row in enumerate(words):
+            ref = np.random.SeedSequence((seed, r)).generate_state(4, np.uint64)
+            npt.assert_array_equal(row, ref)
         for family in pg.NOISE_FAMILIES:
             spec = pg.NoiseSpec(family)
             W = pg.draw_noise_ensemble(spec, reps, n, seed)
@@ -126,9 +128,9 @@ class TestDrawNoiseEnsemble:
             assert W[r].tobytes() == pg.draw_noise(spec, 9, pg.RngStream(-3, r)).tobytes()
 
     def test_index_beyond_one_word_rejected(self):
-        # the check comes before any state or draw is computed
+        # the check comes before any seed word or draw is computed
         with pytest.raises(pg.ConfigError, match="32-bit"):
-            _pcg64_states(1, 2**32 + 1)
+            _seed_words(1, 2**32 + 1)
         with pytest.raises(pg.ConfigError, match="32-bit"):
             pg.draw_noise_ensemble(pg.NoiseSpec("gaussian"), 2**32 + 1, 1, 1)
 

@@ -433,6 +433,17 @@ class TestSelectOrder:
         with pytest.raises(pg.DegenerateGridError):
             pg.select_order(grid, "penalized", j_range, observed=x, noise_var=1.0)
 
+    @pytest.mark.parametrize("scale,noise_var", [
+        (1e160, 1.0),   # the squared residuals overflow
+        (1.0, 1e308),   # the penalty 2 sigma^2 / N overflows
+    ])
+    def test_overflowing_risk_curve_raises(self, scale, noise_var):
+        # no order is picked from inf or nan risks, and no RuntimeWarning is raised
+        grid = pg.SampleGrid.uniform(240, 0.0375)
+        x = pg.Sequence(scale * np.sin(grid.points), grid)
+        with pytest.raises(pg.DegenerateDataError, match="risk curve"):
+            pg.select_order(grid, "penalized", None, observed=x, noise_var=noise_var)
+
     @pytest.mark.parametrize("j_range", [[2, 1, 3], [1, 2, 2], [1, 2.5], [1.0, 2.0]])
     def test_malformed_order_range(self, j_range):
         # rejected before any basis is built, so the degenerate grid never raises
