@@ -37,7 +37,6 @@ _EXPORTS = {
         "chi2_survival",
         "excess_kurtosis",
         "gaussianity_report",
-        "hinich_test",
         "histogram",
         "principal_domain",
         "segment_record",
@@ -45,7 +44,6 @@ _EXPORTS = {
     "noise": (
         "NOISE_FAMILIES",
         "NoiseSpec",
-        "RngStream",
         "SignalSpec",
         "draw_noise",
         "draw_noise_ensemble",

@@ -5,7 +5,10 @@ frame-averaged triple products at the points of the principal bifrequency
 domain (the only bispectrum points the test reads), their squared
 bicoherence, and a chi-squared statistic whose survival probability (PFA) is
 high when Gaussianity cannot be rejected.  Average excess kurtosis and
-histograms complete the battery.
+histograms complete the battery.  ``gaussianity_report`` is the one route to
+the statistic, its degrees of freedom and the PFA.  An ensemble whose every
+record is constant is degenerate: once the means are removed, nothing but
+rounding residue is left to test.
 
 Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
@@ -84,11 +87,8 @@ def principal_domain(fft_len: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class BicoherenceGrid:
-    fft_len: int
-    frames: int
     points: tuple            # kept principal-domain pairs (j, k)
     values: np.ndarray       # squared bicoherence per kept point
-    normalizer: np.ndarray   # per-point triple-product variance over P_j P_k P_{j+k}
     excluded: int            # principal-domain points dropped for dead denominators
 
 
@@ -155,7 +155,8 @@ def _power(X: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(X[:, : X.shape[1] // 2 + 1]) ** 2, axis=0)
 
 
-def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
+def _bicoherence(fft_len, K, s3, msq, power) -> tuple[BicoherenceGrid, float, int]:
+    """The kept bicoherence grid, Hinich's chi-squared statistic S and its dof."""
     # s3, msq: frame means at the principal-domain points, in principal_index order
     j, k = _kernels.principal_index(fft_len)
     den = power[j] * power[k] * power[j + k]
@@ -168,29 +169,16 @@ def _bicoherence(fft_len, K, s3, msq, power) -> BicoherenceGrid:
     # the ensemble keeps the same points
     keep = (den > EPS_FLOOR * power.max() ** 3) & (var > EPS_FLOOR * den) & np.isfinite(var)
     den = den[keep]
-    return BicoherenceGrid(
-        fft_len=fft_len,
-        frames=K,
+    grid = BicoherenceGrid(
         points=tuple(zip(j[keep].tolist(), k[keep].tolist())),
         values=h2[keep] / den,
-        normalizer=var[keep] / den,
         excluded=int(keep.size - np.count_nonzero(keep)),
     )
-
-
-def hinich_test(bicoh: BicoherenceGrid) -> tuple[float, int, float]:
-    """Chi-squared Gaussianity statistic, its degrees of freedom, and the PFA."""
-    frames = bicoh.frames
-    if frames < MIN_FRAMES:
-        raise InsufficientFramesError(f"need at least {MIN_FRAMES} frames")
-    if not _kernels.principal_index(bicoh.fft_len)[0].size:
-        raise ConfigError("principal domain is empty; FFT length too small")
-    n_pts = len(bicoh.points)
-    if n_pts == 0:  # every point numerically dead: nothing rejects the null
-        return 0.0, 2 * bicoh.excluded, 1.0
-    dof = 2 * n_pts
-    stat = float(np.sum(2.0 * frames * bicoh.values / bicoh.normalizer))
-    return stat, dof, chi2_survival(stat, dof)
+    if not grid.points:  # every point numerically dead: nothing rejects the null
+        return grid, 0.0, 2 * grid.excluded
+    # each point's squared bicoherence over its triple-product variance
+    stat = float(np.sum(2.0 * K * grid.values / (var[keep] / den)))
+    return grid, stat, 2 * len(grid.points)
 
 
 def chi2_survival(x: float, dof: int) -> float:
@@ -283,17 +271,12 @@ def excess_kurtosis(ensemble: Ensemble) -> float:
 
 
 def _kurtosis(v: np.ndarray) -> float:
-    # excess_kurtosis of values already at unit scale
-    R = v.shape[0]
-    if R == 1:
-        u = v[0] - v[0].mean()
-        u2 = u**2
-        m2 = np.mean(u2)
-        if m2 == 0:
-            raise DegenerateDataError("record has zero variance")
-        return float(np.mean(u2**2) / (m2 * m2) - 3.0)
-    if R < 4:
-        raise DegenerateDataError("per-index kurtosis needs at least 4 replications")
+    # excess_kurtosis of values already at unit scale; a single record is
+    # transposed, so its samples are the replications of one index
+    if v.shape[0] == 1:
+        v = v.T
+    if v.shape[0] < 4:
+        raise DegenerateDataError("kurtosis needs at least 4 replications of each index")
     u = v - v.mean(axis=0, keepdims=True)
     u2 = u**2  # squared once: u**4 would go through libm pow
     m2 = np.mean(u2, axis=0)
@@ -341,17 +324,17 @@ def gaussianity_report(
     # rescaled copy, so it keeps its bits when the data are scaled by a power of two
     scaled = _unit_scaled(ensemble, float(np.abs(v).max()))
     X = _frames_fft(scaled, fft_len)  # a bad FFT or record length is a config error first
-    if np.all(v == v.flat[0]):
-        raise DegenerateDataError("ensemble is constant")
+    # a constant record is all rounding residue once the means are removed
+    if np.all(v == v[:, :1]):
+        raise DegenerateDataError("every record is constant")
     s3, msq = _kernels.principal_triples(X)
-    bicoh = _bicoherence(fft_len, R, s3, msq, _power(X))
-    stat, dof, pfa = hinich_test(bicoh)
+    bicoh, stat, dof = _bicoherence(fft_len, R, s3, msq, _power(X))
     kurt = _kurtosis(scaled.values)
     hist = histogram(v, bins)
     return GaussianityReport(
         statistic=stat,
         dof=dof,
-        pfa=pfa,
+        pfa=chi2_survival(stat, dof),
         avg_kurtosis=kurt,
         histogram=hist,
         bicoherence=bicoh,

@@ -6,8 +6,7 @@ Noise families are standardized so each has zero population mean and unit
 population variance: standard normal; Laplacian with scale 1/sqrt(2); uniform
 on [-sqrt(3), sqrt(3)]; gamma(k) shifted by -k and divided by sqrt(k).
 
-The ``np.random.Generator`` annotations are quoted, so importing this module
-does not load ``numpy.random``; the first draw does.
+Importing this module does not load ``numpy.random``; the first draw does.
 """
 
 import math
@@ -62,25 +61,6 @@ class NoiseSpec:
             raise ConfigError(f"gamma shape must be positive and finite, got {self.gamma_shape}")
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Deterministic substream addressed by (seed, index).
-
-    The same pair always reproduces the same draw sequence; distinct indices
-    give statistically independent streams.  A stream is single-consumer.
-    """
-
-    seed: int
-    index: int = 0
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ConfigError("stream index must be non-negative")
-
-    def generator(self) -> "np.random.Generator":
-        return np.random.default_rng((int(self.seed) & 0xFFFFFFFFFFFFFFFF, int(self.index)))
-
-
 def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
     """Evaluate the damped-cosine sum on the grid (all zeros for an empty spec)."""
     t = grid.points
@@ -119,12 +99,20 @@ def _standardize(spec: NoiseSpec, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_noise(spec: NoiseSpec, n: int, stream: RngStream) -> np.ndarray:
-    """``n`` independent draws with exactly zero mean and unit variance by construction."""
+def draw_noise(spec: NoiseSpec, n: int, seed: int, index: int = 0) -> np.ndarray:
+    """``n`` independent draws with exactly zero mean and unit variance by construction.
+
+    They come from the stream ``np.random.default_rng((seed mod 2**64, index))``:
+    the same pair always gives the same draws, and distinct indices give
+    statistically independent streams.
+    """
+    if index < 0:
+        raise ConfigError("stream index must be non-negative")
     if n < 1:
         raise ConfigError("need at least one draw")
     out = np.empty(n)
-    _row_draw(spec)(stream.generator(), out)
+    rng = np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, int(index)))
+    _row_draw(spec)(rng, out)
     return _standardize(spec, out)
 
 
@@ -193,7 +181,7 @@ class _SeedWords:
 
 
 def draw_noise_ensemble(spec: NoiseSpec, replications: int, n: int, seed: int) -> np.ndarray:
-    """``(replications, n)`` draws; row ``r`` equals ``draw_noise(spec, n, RngStream(seed, r))``.
+    """``(replications, n)`` draws; row ``r`` equals ``draw_noise(spec, n, seed, r)``.
 
     Row ``r``'s PCG64 is seeded with the words ``SeedSequence((seed, r))`` would
     give it, hashed for all rows in one pass, so it is ``default_rng((seed, r))``.

@@ -1,9 +1,23 @@
 """Reference implementations and fixtures that more than one test module uses."""
 
+import os
 import sys
 
 import numpy as np
 import pytest
+
+import polygauss
+
+
+def src_env():
+    """The environment for a fresh interpreter that imports the package under test.
+
+    The directory that holds the imported ``polygauss`` goes first on
+    ``PYTHONPATH``, so a subprocess finds it from a plain checkout too.
+    """
+    src = os.path.dirname(os.path.dirname(polygauss.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def _sequential_triple_grid(X, F):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import polygauss as pg
+from conftest import src_env
 from polygauss.cli import main
 from polygauss.csvio import (
     read_table_csv,
@@ -27,10 +28,8 @@ def run(*argv):
 
 def run_process(*argv):
     """Run the command line in a fresh interpreter, with Python's default warning filters."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(pg.__file__)), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "polygauss.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
 
 
 class TestGenSignal:
@@ -129,6 +128,24 @@ class TestTransform:
         assert run("transform", "--in", src, "--order", "0",
                    "--out", str(tmp_path / "out.csv")) == 1
 
+    def test_unreadable_input_and_unwritable_output_exit_io(self, tmp_path):
+        src = self.write_seq(tmp_path, [1.0, 2.0, 3.0])
+        assert run("transform", "--in", str(tmp_path / "missing.csv"), "--order", "1",
+                   "--out", str(tmp_path / "out.csv")) == 3
+        assert run("transform", "--in", src, "--order", "1",
+                   "--out", str(tmp_path / "no-dir" / "out.csv")) == 3
+
+    def test_ensemble_input_and_non_integer_order_rejected(self, tmp_path, capsys):
+        ens = tmp_path / "ens.csv"
+        ens.write_text("rep,index,value\n0,0,1.0\n0,1,2.0\n")
+        out = tmp_path / "out.csv"
+        assert run("transform", "--in", str(ens), "--order", "1", "--out", str(out)) == 1
+        assert "sequence CSV" in capsys.readouterr().err
+        src = self.write_seq(tmp_path, [1.0, 2.0, 3.0])
+        assert run("transform", "--in", src, "--order", "abc", "--out", str(out)) == 1
+        assert "--order" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_auto_requires_sigma2(self, tmp_path):
         src = self.write_seq(tmp_path, [1.0, 2.0, 3.0])
         assert run("transform", "--in", src, "--order", "auto",
@@ -225,9 +242,15 @@ class TestTestCommand:
             fh.write("\n".join(lines) + "\n")
         return path
 
-    def test_zero_ensemble_degenerate(self, tmp_path):
+    def test_zero_ensemble_degenerate(self, tmp_path, capsys):
         src = self.write_ensemble(tmp_path, np.zeros((16, 60)))
         assert run("test", "--in", src, "--out-dir", str(tmp_path / "r")) == 2
+        # records that each hold one value, different from record to record
+        records = np.repeat(np.random.default_rng(1).standard_normal((64, 1)), 60, axis=1)
+        src = self.write_ensemble(tmp_path, records)
+        assert run("test", "--in", src, "--out-dir", str(tmp_path / "r")) == 2
+        assert "every record is constant" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_constant_ensemble_too_long_for_fft_exits_config(self, tmp_path, capsys):
         # records longer than the FFT length are a flag error whatever the values
@@ -394,11 +417,9 @@ class TestMalformedCsv:
     def test_astral_plane_field_exits_config(self, tmp_path, text, char):
         src = tmp_path / "bad.csv"
         src.write_text(text.format(char), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(pg.__file__)), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "polygauss.cli", "test", "--in", str(src),
-             "--out-dir", str(tmp_path / "r")], capture_output=True, text=True, env=env)
+             "--out-dir", str(tmp_path / "r")], capture_output=True, text=True, env=src_env())
         assert proc.returncode == 1, proc.stderr
         assert "ASCII" in proc.stderr and "Traceback" not in proc.stderr
 

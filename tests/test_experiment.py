@@ -13,24 +13,24 @@ def small_config(seed=1, reps=200, families=("gaussian",)):
 
 
 class TestDeriveStream:
-    """Per-replication substreams are ``RngStream(seed, index)``."""
+    """Per-replication substreams are ``draw_noise(spec, n, seed, index)``."""
 
     def test_same_pair_same_stream(self):
-        a = pg.RngStream(42, 0).generator().standard_normal(5)
-        b = pg.RngStream(42, 0).generator().standard_normal(5)
+        a = pg.draw_noise(pg.NoiseSpec("gaussian"), 5, 42, 0)
+        b = pg.draw_noise(pg.NoiseSpec("gaussian"), 5, 42, 0)
         npt.assert_array_equal(a, b)
 
     def test_first_draw_regression(self):
         # pinned after the first implementation run; guards the stream layout
-        v0 = pg.RngStream(42, 0).generator().standard_normal()
-        v1 = pg.RngStream(42, 1).generator().standard_normal()
+        (v0,) = pg.draw_noise(pg.NoiseSpec("gaussian"), 1, 42, 0)
+        (v1,) = pg.draw_noise(pg.NoiseSpec("gaussian"), 1, 42, 1)
         assert v0 == pytest.approx(0.30471707975443135, abs=1e-15)
         assert v1 == pytest.approx(-0.37361989538310314, abs=1e-15)
         assert v0 != v1
 
     def test_negative_index_rejected(self):
-        with pytest.raises(pg.ConfigError):
-            pg.RngStream(1, -1)
+        with pytest.raises(pg.ConfigError, match="non-negative"):
+            pg.draw_noise(pg.NoiseSpec("gaussian"), 1, 1, -1)
 
 
 class TestRunExperiment:
@@ -58,8 +58,7 @@ class TestRunExperiment:
         sigma2 = pg.noise_sigma(g, cfg.snr_db) ** 2
         # rebuild the error ensemble exactly as the harness does
         fam_seed = pg.experiment._family_seed(cfg.seed, "laplacian")
-        W = np.array([pg.draw_noise(pg.NoiseSpec("laplacian"), 60,
-                                    pg.RngStream(fam_seed, r))
+        W = np.array([pg.draw_noise(pg.NoiseSpec("laplacian"), 60, fam_seed, r)
                       for r in range(400)]) * np.sqrt(sigma2)
         basis = pg.build_basis(grid, res.families[0].selection.chosen)
         E = (W + g.values) @ basis.values.T / basis.norms @ basis.values - g.values
@@ -75,8 +74,7 @@ class TestRunExperiment:
         op = pg.projection_operator(pg.build_basis(grid, J))
         expected_bias = op.xi @ g.values - g.values
         fam_seed = pg.experiment._family_seed(cfg.seed, "gaussian")
-        W = np.array([pg.draw_noise(pg.NoiseSpec("gaussian"), 60,
-                                    pg.RngStream(fam_seed, r))
+        W = np.array([pg.draw_noise(pg.NoiseSpec("gaussian"), 60, fam_seed, r)
                       for r in range(2000)]) * np.sqrt(sigma2)
         E = (W + g.values) @ op.basis.values.T / op.basis.norms @ op.basis.values - g.values
         se = np.sqrt(sigma2 * np.diag(op.xi) / 2000)
@@ -135,7 +133,7 @@ class TestRunExperiment:
         (fam,) = pg.run_experiment(cfg).families
         fam_seed = pg.experiment._family_seed(cfg.seed, "gamma")
         sigma = pg.noise_sigma(pg.synth_signal(cfg.signal, cfg.grid), cfg.snr_db)
-        W = np.array([pg.draw_noise(pg.NoiseSpec("gamma"), 60, pg.RngStream(fam_seed, r))
+        W = np.array([pg.draw_noise(pg.NoiseSpec("gamma"), 60, fam_seed, r)
                       for r in range(64)]) * sigma
         ref = pg.gaussianity_report(pg.Ensemble(W), cfg.fft_len, cfg.bins)
         assert fam.input_report.statistic == ref.statistic

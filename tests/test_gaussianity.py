@@ -1,8 +1,8 @@
 import math
-import os
 import subprocess
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polygauss as pg
+from conftest import src_env
 from polygauss import _kernels
 from polygauss.gaussianity import EPS_FLOOR, _bicoherence, _frames_fft, _power
 
@@ -100,8 +101,9 @@ class TestBicoherence:
         rng = np.random.default_rng(9)
         X = _frames_fft(pg.Ensemble(rng.standard_normal((32, 30))), 32)
         s3, msq = _kernels.principal_triples(X)
-        grid = _bicoherence(32, 32, np.zeros_like(s3), msq, _power(X))
+        grid, stat, dof = _bicoherence(32, 32, np.zeros_like(s3), msq, _power(X))
         npt.assert_array_equal(grid.values, np.zeros(len(grid.points)))
+        assert grid.points and (stat, dof) == (0.0, 2 * len(grid.points))
 
     def test_nonnegative_and_domain(self):
         rng = np.random.default_rng(10)
@@ -117,10 +119,11 @@ class TestBicoherence:
 
 
 def loop_bicoherence(fft_len, K, s3_grid, msq_grid, power):
-    # the per-point scalar formula of the squared bicoherence, kept as the
-    # reference for the array code (with the relative dead-denominator floor and
-    # the square taken as a product, which is exact under scaling by 2**k); it
-    # reads the principal points off the full triple-product grid
+    # the per-point scalar formula of the squared bicoherence and of Hinich's
+    # statistic, kept as the reference for the array code (with the relative
+    # dead-denominator floor and the square taken as a product, which is exact
+    # under scaling by 2**k); it reads the principal points off the full
+    # triple-product grid and returns them as a report's two fields
     floor = EPS_FLOOR * power.max() ** 3
     kept, vals, norms = [], [], []
     excluded = 0
@@ -134,15 +137,17 @@ def loop_bicoherence(fft_len, K, s3_grid, msq_grid, power):
         kept.append((j, k))
         vals.append(abs(s3) * abs(s3) / den)
         norms.append(var / den)
-    return pg.BicoherenceGrid(fft_len, K, tuple(kept), np.asarray(vals),
-                              np.asarray(norms), excluded)
+    grid = pg.BicoherenceGrid(tuple(kept), np.asarray(vals), excluded)
+    stat = float(np.sum(2.0 * K * grid.values / np.asarray(norms))) if kept else 0.0
+    return SimpleNamespace(bicoherence=grid, statistic=stat)
 
 
 def assert_same_grid(got, ref):
-    assert got.points == ref.points
-    assert got.excluded == ref.excluded
-    assert np.array_equal(got.values, ref.values)
-    assert np.array_equal(got.normalizer, ref.normalizer)
+    # got, ref: reports, or anything with their bicoherence and statistic fields
+    assert got.bicoherence.points == ref.bicoherence.points
+    assert got.bicoherence.excluded == ref.bicoherence.excluded
+    assert np.array_equal(got.bicoherence.values, ref.bicoherence.values)
+    assert got.statistic == ref.statistic
 
 
 class TestPrincipalDomainReport:
@@ -161,7 +166,7 @@ class TestPrincipalDomainReport:
         M = 2 * half
         rng = np.random.default_rng(seed)
         ens = pg.Ensemble(rng.gamma(2.0, size=(R, int(rng.integers(2, M + 1)))))
-        got = pg.gaussianity_report(ens, M).bicoherence
+        got = pg.gaussianity_report(ens, M)
         X = _frames_fft(ens, M)
         s3, msq = sequential_triple_grid(X, half + 1)
         assert_same_grid(got, loop_bicoherence(M, R, s3, msq, _power(X)))
@@ -220,7 +225,7 @@ class TestPrincipalDomainReport:
                 rep = pg.gaussianity_report(pg.Ensemble(scaled), M)
             assert (rep.statistic, rep.dof, rep.pfa) == (base.statistic, base.dof, base.pfa)
             assert rep.avg_kurtosis == base.avg_kurtosis
-            assert_same_grid(rep.bicoherence, base.bicoherence)
+            assert_same_grid(rep, base)
 
     def test_overflowing_magnitude_is_degenerate(self):
         # finite values whose max - min is past the largest float64: the histogram,
@@ -248,25 +253,28 @@ class TestPrincipalDomainReport:
                 rep = pg.gaussianity_report(pg.Ensemble(np.ldexp(w, k)), 64)
             assert (rep.statistic, rep.dof, rep.pfa) == (base.statistic, base.dof, base.pfa)
             assert rep.avg_kurtosis == base.avg_kurtosis
-            assert_same_grid(rep.bicoherence, base.bicoherence)
+            assert_same_grid(rep, base)
             npt.assert_array_equal(rep.histogram.counts, base.histogram.counts)
             npt.assert_array_equal(rep.histogram.edges, np.ldexp(base.histogram.edges, k))
 
-    def test_empty_domain_rejected(self):
-        grid = pg.BicoherenceGrid(fft_len=4, frames=8, points=(), values=np.zeros(0),
-                                  normalizer=np.zeros(0), excluded=0)
-        with pytest.raises(pg.ConfigError):
-            pg.hinich_test(grid)
-
 
 class TestHinich:
-    def test_zero_grid_gives_pfa_one(self):
-        grid = pg.BicoherenceGrid(fft_len=64, frames=64, points=((1, 1), (2, 1)),
-                                  values=np.zeros(2), normalizer=np.ones(2), excluded=0)
-        stat, dof, pfa = pg.hinich_test(grid)
-        assert stat == 0.0
-        assert dof == 4
-        assert pfa == 1.0
+    def test_every_point_excluded_gives_pfa_one(self):
+        # a pure tone on an exact bin leaves no power off bin 5, so every
+        # principal-domain point has a dead denominator
+        n = np.arange(64)
+        ph = np.random.default_rng(22).uniform(0, 2 * np.pi, 32)[:, None]
+        rep = pg.gaussianity_report(pg.Ensemble(np.cos(2 * np.pi * 5 * n / 64 + ph)), 64)
+        assert rep.bicoherence.points == ()
+        assert rep.bicoherence.excluded == len(pg.principal_domain(64))
+        assert (rep.statistic, rep.dof, rep.pfa) == (0.0, 480, 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_constant_records_degenerate(self, scale):
+        # once each record's mean is removed, only rounding residue would be tested
+        v = np.repeat(np.random.default_rng(1).standard_normal((64, 1)), 60, axis=1)
+        with pytest.raises(pg.DegenerateDataError, match="every record is constant"):
+            pg.gaussianity_report(pg.Ensemble(v * scale))
 
     def test_gaussian_pfa_roughly_uniform(self):
         rng_master = np.random.default_rng(13)
@@ -283,12 +291,6 @@ class TestHinich:
         ens = triad_ensemble(np.random.default_rng(14))
         rep = pg.gaussianity_report(ens, fft_len=64)
         assert rep.pfa < 0.01
-
-    def test_too_few_frames(self):
-        grid = pg.BicoherenceGrid(fft_len=64, frames=4, points=((1, 1),),
-                                  values=np.zeros(1), normalizer=np.ones(1), excluded=0)
-        with pytest.raises(pg.InsufficientFramesError):
-            pg.hinich_test(grid)
 
 
 class TestChi2Survival:
@@ -323,13 +325,10 @@ class TestChi2Survival:
 
     def test_import_leaves_scipy_special_unloaded(self):
         # scipy.special would be most of the package's import time; nothing at runtime needs it
-        src = os.path.dirname(os.path.dirname(pg.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, polygauss; print('scipy.special' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
+            env=src_env(), capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"
 
@@ -345,10 +344,7 @@ class TestChi2Survival:
         code = ("import sys\nfrom polygauss.cli import main\n"
                 f"codes = [main(argv) for argv in {runs!r}]\n"
                 "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        src = os.path.dirname(os.path.dirname(pg.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
@@ -438,6 +434,9 @@ class TestExcessKurtosis:
     def test_too_few_replications(self):
         with pytest.raises(pg.DegenerateDataError):
             pg.excess_kurtosis(pg.Ensemble(np.random.default_rng(0).standard_normal((3, 5))))
+        # a single record's samples are the replications of one index
+        with pytest.raises(pg.DegenerateDataError):
+            pg.excess_kurtosis(pg.Ensemble(np.random.default_rng(0).standard_normal((1, 3))))
 
     def test_degenerate_index(self):
         v = np.random.default_rng(1).standard_normal((10, 4))

@@ -4,7 +4,6 @@ The package resolves its public names on first use, and each command imports
 only the layers it runs, so a short command does not pay for the others.
 """
 
-import os
 import subprocess
 import sys
 
@@ -12,8 +11,8 @@ import numpy as np
 import pytest
 
 import polygauss as pg
+from conftest import src_env
 
-SRC = os.path.dirname(os.path.dirname(pg.__file__))
 STUDY_LAYERS = {"numpy.random", "polygauss.gaussianity", "polygauss.noise",
                 "polygauss.experiment"}
 # appended to a snippet: prints the polygauss and numpy.random modules loaded so far
@@ -23,8 +22,8 @@ LOADED = ("\nimport sys\nprint(' '.join(sorted(m for m in sys.modules\n"
 
 def fresh(code):
     """Run ``code`` in a new interpreter that imports this package; returns its stdout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

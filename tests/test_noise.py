@@ -40,12 +40,12 @@ class TestDrawNoise:
     @pytest.mark.parametrize("family", pg.NOISE_FAMILIES)
     def test_mean_and_variance(self, family):
         spec = pg.NoiseSpec(family)
-        w = pg.draw_noise(spec, 10**6, pg.RngStream(101, 0))
+        w = pg.draw_noise(spec, 10**6, 101, 0)
         assert abs(w.mean()) < 0.005
         assert abs(w.var() - 1.0) < 0.01
 
     def test_uniform_support(self):
-        w = pg.draw_noise(pg.NoiseSpec("uniform"), 10**5, pg.RngStream(5, 0))
+        w = pg.draw_noise(pg.NoiseSpec("uniform"), 10**5, 5, 0)
         assert np.all(np.abs(w) <= math.sqrt(3.0))
 
     @pytest.mark.parametrize("family,target,tol", [
@@ -55,7 +55,7 @@ class TestDrawNoise:
         ("gamma", 6.0 / 9.0, 0.1),
     ])
     def test_generator_kurtosis(self, family, target, tol):
-        w = pg.draw_noise(pg.NoiseSpec(family), 2 * 10**6, pg.RngStream(77, 3))
+        w = pg.draw_noise(pg.NoiseSpec(family), 2 * 10**6, 77, 3)
         k = pg.excess_kurtosis(pg.Ensemble(w[None, :]))
         assert abs(k - target) < tol
 
@@ -69,20 +69,20 @@ class TestDrawNoise:
     ], ids=["gaussian", "laplacian", "uniform", "gamma", "gamma-2.5"])
     def test_bitwise_equal_to_public_numpy_call(self, spec, public):
         for seed, r, n in ((0, 0, 1), (7, 3, 60), (2**40 + 5, 11, 257)):
-            got = pg.draw_noise(spec, n, pg.RngStream(seed, r))
+            got = pg.draw_noise(spec, n, seed, r)
             ref = public(np.random.default_rng((seed, r)), n)
             assert got.tobytes() == ref.tobytes()
 
     def test_determinism(self):
         spec = pg.NoiseSpec("laplacian")
-        a = pg.draw_noise(spec, 100, pg.RngStream(42, 7))
-        b = pg.draw_noise(spec, 100, pg.RngStream(42, 7))
+        a = pg.draw_noise(spec, 100, 42, 7)
+        b = pg.draw_noise(spec, 100, 42, 7)
         npt.assert_array_equal(a, b)
 
     def test_streams_are_distinct(self):
         spec = pg.NoiseSpec("gaussian")
-        a = pg.draw_noise(spec, 10, pg.RngStream(42, 0))
-        b = pg.draw_noise(spec, 10, pg.RngStream(42, 1))
+        a = pg.draw_noise(spec, 10, 42, 0)
+        b = pg.draw_noise(spec, 10, 42, 1)
         assert not np.array_equal(a, b)
 
     def test_invalid_family(self):
@@ -96,7 +96,7 @@ class TestDrawNoise:
 
     def test_need_one_draw(self):
         with pytest.raises(pg.ConfigError):
-            pg.draw_noise(pg.NoiseSpec("gaussian"), 0, pg.RngStream(1, 0))
+            pg.draw_noise(pg.NoiseSpec("gaussian"), 0, 1, 0)
 
 
 
@@ -119,13 +119,13 @@ class TestDrawNoiseEnsemble:
             W = pg.draw_noise_ensemble(spec, reps, n, seed)
             assert W.shape == (reps, n)
             for r in range(reps):
-                assert W[r].tobytes() == pg.draw_noise(spec, n, pg.RngStream(seed, r)).tobytes()
+                assert W[r].tobytes() == pg.draw_noise(spec, n, seed, r).tobytes()
 
     def test_seed_masked_like_rng_stream(self):
         spec = pg.NoiseSpec("gamma", gamma_shape=2.5)
         W = pg.draw_noise_ensemble(spec, 4, 9, -3)
         for r in range(4):
-            assert W[r].tobytes() == pg.draw_noise(spec, 9, pg.RngStream(-3, r)).tobytes()
+            assert W[r].tobytes() == pg.draw_noise(spec, 9, -3, r).tobytes()
 
     def test_index_beyond_one_word_rejected(self):
         # the check comes before any seed word or draw is computed
