@@ -6,9 +6,10 @@ domain (the only bispectrum points the test reads), their squared
 bicoherence, and a chi-squared statistic whose survival probability (PFA) is
 high when Gaussianity cannot be rejected.  Average excess kurtosis and
 histograms complete the battery.  ``gaussianity_report`` is the one route to
-the statistic, its degrees of freedom and the PFA.  An ensemble whose every
-record is constant is degenerate: once the means are removed, nothing but
-rounding residue is left to test.
+the statistic, its degrees of freedom and the PFA.  An ensemble whose centred
+values have an rms below 4 eps sqrt(R) at unit scale is degenerate: every record
+is constant, or a constant plus one shape shared by all records, and once the
+means are removed nothing but rounding residue is left to test.
 
 Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
@@ -96,10 +97,6 @@ class BicoherenceGrid:
 class Histogram:
     edges: np.ndarray
     counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -324,11 +321,16 @@ def gaussianity_report(
     # rescaled copy, so it keeps its bits when the data are scaled by a power of two
     scaled = _unit_scaled(ensemble, float(np.abs(v).max()))
     X = _frames_fft(scaled, fft_len)  # a bad FFT or record length is a config error first
-    # a constant record is all rounding residue once the means are removed
-    if np.all(v == v[:, :1]):
-        raise DegenerateDataError("every record is constant")
+    power = _power(X)
+    # the centred rms at unit scale, by Parseval (real frames hold bins 1..M/2-1 twice):
+    # rounding residue reads at most about 0.13 eps sqrt(R), Gaussian data on an
+    # offset of 2**20 about 2e9 eps, so below 4 eps sqrt(R) nothing else is left
+    ms = (power[0] + 2.0 * power[1:-1].sum() + power[-1]) / (fft_len * ensemble.record_length)
+    if math.sqrt(ms) < 4 * _EPS * math.sqrt(R):
+        raise DegenerateDataError("every record is constant, or a constant plus one shape "
+                                  "shared by all records: only rounding residue is left")
     s3, msq = _kernels.principal_triples(X)
-    bicoh, stat, dof = _bicoherence(fft_len, R, s3, msq, _power(X))
+    bicoh, stat, dof = _bicoherence(fft_len, R, s3, msq, power)
     kurt = _kurtosis(scaled.values)
     hist = histogram(v, bins)
     return GaussianityReport(

@@ -6,6 +6,10 @@ Noise families are standardized so each has zero population mean and unit
 population variance: standard normal; Laplacian with scale 1/sqrt(2); uniform
 on [-sqrt(3), sqrt(3)]; gamma(k) shifted by -k and divided by sqrt(k).
 
+Each family is one entry of the append-only ``_FAMILIES`` table, and
+``draw_noise`` and ``draw_noise_ensemble`` share one route through it: fill
+each row from its own stream, then standardize the whole array once.
+
 Importing this module does not load ``numpy.random``; the first draw does.
 """
 
@@ -17,7 +21,17 @@ import numpy as np
 from .errors import ConfigError, DegenerateDataError, UndefinedSnrError
 from .ortho import SampleGrid, Sequence
 
-NOISE_FAMILIES = ("gaussian", "laplacian", "uniform", "gamma")
+_LAPLACE_B, _SQRT3 = 1 / math.sqrt(2), math.sqrt(3)  # unit-variance Laplace scale, uniform edge
+#: family -> (fill(rng, row, k) writing one row in place, k -> (shift, scale) or None).
+#: A family's position is its stream index in ``experiment._family_seed``, so new
+#: families go at the end and no entry ever moves.
+_FAMILIES = {
+    "gaussian": (lambda rng, row, k: rng.standard_normal(out=row), None),
+    "laplacian": (lambda rng, row, k: np.copyto(row, rng.laplace(0.0, _LAPLACE_B, row.size)), None),
+    "uniform": (lambda rng, row, k: np.copyto(row, rng.uniform(-_SQRT3, _SQRT3, row.size)), None),
+    "gamma": (lambda rng, row, k: rng.standard_gamma(k, out=row), lambda k: (k, math.sqrt(k))),
+}
+NOISE_FAMILIES = tuple(_FAMILIES)
 
 #: amplitude, damping (1/time), angular frequency (rad/time), phase (rad)
 #: of the reference three-component transient used throughout the test study.
@@ -72,30 +86,16 @@ def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
     return Sequence(g, grid)
 
 
-def _row_draw(spec: NoiseSpec):
-    """A function ``fill(rng, row)`` that fills one row in place with the family's draws.
-
-    The gamma family's rows hold the raw unit-scale draws; ``_standardize``
-    shifts and scales them.
-    """
-    if spec.family == "gaussian":
-        return lambda rng, row: rng.standard_normal(out=row)
-    if spec.family == "laplacian":
-        scale = 1.0 / math.sqrt(2.0)
-        return lambda rng, row: np.copyto(row, rng.laplace(loc=0.0, scale=scale, size=row.size))
-    if spec.family == "uniform":
-        r = math.sqrt(3.0)
-        return lambda rng, row: np.copyto(row, rng.uniform(-r, r, size=row.size))
+def _fill_rows(spec: NoiseSpec, generators, out: np.ndarray) -> np.ndarray:
+    """Fill row ``r`` of ``out`` from generator ``r``, then standardize all rows in one pass."""
+    fill, shift_scale = _FAMILIES[spec.family]
     k = spec.gamma_shape
-    return lambda rng, row: rng.standard_gamma(k, out=row)
-
-
-def _standardize(spec: NoiseSpec, out: np.ndarray) -> np.ndarray:
-    # gamma: exact-mean shift, variance k -> divide by sqrt(k); elementwise, so
-    # one pass over all rows gives each row's bits
-    if spec.family == "gamma":
-        out -= spec.gamma_shape
-        out /= math.sqrt(spec.gamma_shape)
+    for rng, row in zip(generators, out):
+        fill(rng, row, k)
+    if shift_scale is not None:
+        shift, scale = shift_scale(k)
+        out -= shift
+        out /= scale
     return out
 
 
@@ -110,10 +110,8 @@ def draw_noise(spec: NoiseSpec, n: int, seed: int, index: int = 0) -> np.ndarray
         raise ConfigError("stream index must be non-negative")
     if n < 1:
         raise ConfigError("need at least one draw")
-    out = np.empty(n)
     rng = np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, int(index)))
-    _row_draw(spec)(rng, out)
-    return _standardize(spec, out)
+    return _fill_rows(spec, [rng], np.empty((1, n)))[0]
 
 
 # numpy.random.SeedSequence hashing constants (numpy/random/bit_generator.pyx);
@@ -193,11 +191,8 @@ def draw_noise_ensemble(spec: NoiseSpec, replications: int, n: int, seed: int) -
     words = _seed_words(seed, replications)  # checks the indices before out is allocated
     # registered here, not at import, which would load numpy.random
     np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    fill = _row_draw(spec)
-    out = np.empty((replications, n))
-    for row, row_words in zip(out, words):
-        fill(np.random.Generator(np.random.PCG64(_SeedWords(row_words))), row)
-    return _standardize(spec, out)
+    generators = (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
+    return _fill_rows(spec, generators, np.empty((replications, n)))
 
 
 def noise_sigma(signal: Sequence, snr_db: float) -> float:

@@ -252,6 +252,13 @@ class TestTestCommand:
         assert "every record is constant" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_constant_plus_shared_shape_exits_degenerate(self, tmp_path, capsys):
+        c = np.random.default_rng(1).standard_normal((64, 1))
+        src = self.write_ensemble(tmp_path, c + np.sin(np.arange(60) / 7))
+        assert run("test", "--in", src, "--out-dir", str(tmp_path / "r")) == 2
+        assert "rounding residue" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_constant_ensemble_too_long_for_fft_exits_config(self, tmp_path, capsys):
         # records longer than the FFT length are a flag error whatever the values
         src = self.write_ensemble(tmp_path, np.ones((20, 100)))

@@ -39,6 +39,12 @@ SIMULATE_DIGESTS = {
 
 TEST_REPORT_DIGEST = "83a8dfc0f55513b84119529b87a659fe6cbadcce3179fd19f8bbedfea120b377"
 
+# transform on one seeded N=240 record at dt=0.0375: the basis, the risk curve
+# and the fit; a stable basis (ROADMAP item 9) moves these on purpose
+TRANSFORM_AUTO_CSV_DIGEST = "5f2a7b3a1d62890f85512c7870f53787a190caebb9a23047b6eb446e8ca57f02"
+TRANSFORM_AUTO_STDOUT_DIGEST = "ab6102d4be5ebf34b010d6197521171fe5c9522ced7071ad3e08b2d0045f0d94"
+TRANSFORM_ORDER_3_CSV_DIGEST = "0fe7bacba0909b78fecabe5f4027bd60339b26d72f732ccabf091a7accce86b5"
+
 pytestmark = pytest.mark.skipif(
     ".".join(np.__version__.split(".")[:2]) != NUMPY,
     reason=f"digests recorded under numpy {NUMPY}.x; this is numpy {np.__version__}",
@@ -65,3 +71,36 @@ def test_report_of_seeded_laplacian_ensemble(tmp_path):
     out = tmp_path / "report"
     assert main(["test", "--in", str(csv), "--fft-len", "128", "--out-dir", str(out)]) == 0
     assert digests(out)["report.json"] == TEST_REPORT_DIGEST
+
+
+def seeded_record(tmp_path):
+    """The reference signal plus Laplacian noise at 10 dB, and the noise variance."""
+    t = np.arange(240) * 0.0375
+    g = sum(a * np.exp(d * t) * np.cos(w * t + p) for a, d, w, p in (
+        (1.0, -0.2, 2.0, 0.0), (0.5, -0.1, 4.0, np.pi / 4), (0.5, -0.3, 1.0, np.pi / 6)))
+    sigma2 = float(np.mean(g**2)) / 10.0
+    x = g + np.random.default_rng(2024).laplace(0.0, np.sqrt(sigma2 / 2.0), 240)
+    csv = tmp_path / "record.csv"
+    csv.write_text("index,time,value\n" + "".join(
+        f"{i},{ti!r},{xi!r}\n" for i, (ti, xi) in enumerate(zip(t.tolist(), x.tolist()))))
+    return csv, sigma2
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_transform_order_auto(tmp_path, capsys):
+    csv, sigma2 = seeded_record(tmp_path)
+    out = tmp_path / "fit.csv"
+    assert main(["transform", "--in", str(csv), "--order", "auto", "--sigma2", repr(sigma2),
+                 "--out", str(out)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == TRANSFORM_AUTO_STDOUT_DIGEST
+    assert sha256(out.read_bytes()) == TRANSFORM_AUTO_CSV_DIGEST
+
+
+def test_transform_order_3(tmp_path):
+    csv, _ = seeded_record(tmp_path)
+    out = tmp_path / "fit.csv"
+    assert main(["transform", "--in", str(csv), "--order", "3", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == TRANSFORM_ORDER_3_CSV_DIGEST
