@@ -56,13 +56,19 @@ def cmd_gen_signal(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    auto = args.order == "auto"  # both flags are checked before the table is read
+    if auto != (args.sigma2 is not None):
+        raise ConfigError("--sigma2 is required with --order auto and not allowed without it")
+    if not auto:
+        try:
+            order = int(args.order)
+        except ValueError:
+            raise ConfigError(f"--order must be an integer or 'auto', got {args.order!r}") from None
     kind, seq = read_table_csv(args.infile)
     if kind != "sequence":
         raise ConfigError("transform expects a sequence CSV")
     grid = seq.grid
-    if args.order == "auto":
-        if args.sigma2 is None:
-            raise ConfigError("--order auto requires --sigma2")
+    if auto:
         sel = select_order(grid, "penalized", range(1, grid.count + 1),
                            observed=seq, noise_var=args.sigma2)
         basis = sel.basis
@@ -71,10 +77,6 @@ def cmd_transform(args) -> int:
         for j, risk in sel.risk_curve:
             print(f"  J={j}: {risk:.6g}")
     else:
-        try:
-            order = int(args.order)
-        except ValueError:
-            raise ConfigError(f"--order must be an integer or 'auto', got {args.order!r}")
         basis = build_basis(grid, order)
     write_sequence_csv(args.out, transform(projection_operator(basis), seq))
     return 0
@@ -174,7 +176,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True, help="input sequence CSV")
     p.add_argument("--order", required=True, help="approximation order J, or 'auto'")
     p.add_argument("--sigma2", type=float, default=None,
-                   help="noise variance (required with --order auto)")
+                   help="noise variance; required with --order auto, rejected otherwise")
     p.add_argument("--out", required=True, help="output sequence CSV")
     p.set_defaults(func=cmd_transform)
 
@@ -201,8 +203,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma-shape", type=float)
     p.add_argument("--fft-len", type=int)
     p.add_argument("--bins", type=int)
-    p.add_argument("--threads", type=int, default=1,
-                   help="currently ignored; accepted for compatibility")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -5,10 +5,10 @@ A sequence table has the header ``index,time,value``, an ensemble table
 bicoherence (``j,k,bicoherence_sq``) tables. Floats are written with ``repr``,
 so a written sequence reads back bit for bit.
 
-A table is read from one open file, decoded as ASCII. A clean file's body is
-parsed by one call of ``np.loadtxt`` on its path, which runs numpy's chunked C
-reader. A file that call rejects is parsed from the same handle, with its
-whitespace-only lines dropped by ``itertools.filterfalse(str.isspace, ...)``;
+The header is read from an open ASCII handle. A clean body is parsed by one
+call of ``np.loadtxt`` on the path, which opens the file again and runs numpy's
+chunked C reader. A file that call rejects is parsed from the first handle,
+its whitespace-only lines dropped by ``itertools.filterfalse(str.isspace, ...)``;
 that pass decides what is accepted and words every malformed-row error.
 """
 
@@ -33,10 +33,10 @@ def _loadtxt(source, header, **kwargs):
 def read_table_csv(path: str):
     """Read a sequence or ensemble CSV; returns ('sequence', Sequence) or ('ensemble', Ensemble).
 
-    After the header is checked, the body is parsed in one pass of numpy's chunked
-    C reader. A file that pass rejects (whitespace-only lines, a malformed row,
-    non-ASCII text, a name numpy opens as compressed) is parsed again from the
-    open handle. The file's text is never held whole.
+    After the header is checked, numpy opens the path again and parses the body
+    in one pass of its chunked C reader. A file that pass rejects (whitespace-only
+    lines, a malformed row, non-ASCII text, a name numpy opens as compressed) is
+    parsed again from the first handle. The file's text is never held whole.
     """
     try:
         # the ascii codec raises before any non-ASCII text reaches loadtxt's tokenizer,

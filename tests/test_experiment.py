@@ -93,6 +93,15 @@ class TestRunExperiment:
         with pytest.raises(pg.DegenerateDataError):
             pg.run_experiment(bad)
 
+    def test_order_one_study_degenerate_before_draws(self, monkeypatch):
+        # at -3 dB the oracle risk picks J=1, whose output error the report cannot test
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn for a study whose output cannot be tested")
+
+        monkeypatch.setattr(pg.experiment, "draw_noise_ensemble", no_draws)
+        with pytest.raises(pg.DegenerateDataError, match="J=1"):
+            pg.run_experiment(pg.ExperimentConfig.reference(16, 1, snr_db=-3.0))
+
     def test_config_validation(self):
         with pytest.raises(pg.ConfigError):
             pg.ExperimentConfig.reference(replications=0, seed=1)

@@ -37,7 +37,21 @@ SIMULATE_DIGESTS = {
     "uniform_output_histogram.csv": "a8cd2abca5605df672554a969df69ee14187f6d5f241e8e00849e9901042a417",
 }
 
-TEST_REPORT_DIGEST = "83a8dfc0f55513b84119529b87a659fe6cbadcce3179fd19f8bbedfea120b377"
+# polygauss test --fft-len 128 on a seeded 1000 x 100 Laplacian ensemble
+TEST_ENSEMBLE_DIGESTS = {
+    "bicoherence.csv": "a8c0390d26da761df8d28ee6770a46fa1f8e7cfb427d8e8c481e8e69462229a9",
+    "histogram.csv": "108a24ebc449cb33265675393860f91f46255a5076b8e49f82845d2df073d5f1",
+    "report.json": "83a8dfc0f55513b84119529b87a659fe6cbadcce3179fd19f8bbedfea120b377",
+}
+
+# polygauss test --fft-len 16 on the seeded N=240 record, cut into 15 frames
+TEST_SEQUENCE_DIGESTS = {
+    "bicoherence.csv": "09c0899ed277170d48a3cf5a39b8935b0a4ce5894dfe608b8bcd8dc6e848bccf",
+    "histogram.csv": "5b6fd31e9566cd8892feb8949f2a1c9d493d9fbe863105a20f160b015c2b3504",
+    "report.json": "b2585b4be0d151acf79666e5c5b774b469c7642182e9c04597f0072b0bb469ef",
+}
+
+GEN_SIGNAL_DIGEST = "94499295fc321403551dea74147f3415b1053a48dbc141073c52b4e1862c280d"
 
 # transform on one seeded N=240 record at dt=0.0375: the basis, the risk curve
 # and the fit; a stable basis (ROADMAP item 9) moves these on purpose
@@ -70,7 +84,7 @@ def test_report_of_seeded_laplacian_ensemble(tmp_path):
         f"{r},{i},{x!r}\n" for r, rec in enumerate(rows) for i, x in enumerate(rec)))
     out = tmp_path / "report"
     assert main(["test", "--in", str(csv), "--fft-len", "128", "--out-dir", str(out)]) == 0
-    assert digests(out)["report.json"] == TEST_REPORT_DIGEST
+    assert digests(out) == TEST_ENSEMBLE_DIGESTS
 
 
 def seeded_record(tmp_path):
@@ -88,6 +102,20 @@ def seeded_record(tmp_path):
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def test_report_of_seeded_record(tmp_path):
+    csv, _ = seeded_record(tmp_path)
+    out = tmp_path / "report"
+    assert main(["test", "--in", str(csv), "--fft-len", "16", "--out-dir", str(out)]) == 0
+    assert digests(out) == TEST_SEQUENCE_DIGESTS
+
+
+def test_gen_signal_reference(tmp_path):
+    out = tmp_path / "signal.csv"
+    assert main(["gen-signal", "--paper-signal", "--n", "60", "--dt", "0.15",
+                 "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == GEN_SIGNAL_DIGEST
 
 
 def test_transform_order_auto(tmp_path, capsys):
