@@ -65,7 +65,7 @@ _EXPORTS = {
 }
 #: public name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "_kernels", "cli", "csvio"}
+_SUBMODULES = {*_EXPORTS, "cli", "csvio"}
 
 __all__ = sorted(_HOME)
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvio import write_bicoherence_csv, write_histogram_csv
-from .errors import ConfigError, DegenerateDataError, PolygaussError
+from .errors import ConfigError, DegenerateDataError, InsufficientFramesError, PolygaussError
 from .gaussianity import (
+    MIN_FRAMES,
     REFERENCE_BINS,
     REFERENCE_FFT_LEN,
     Ensemble,
@@ -59,6 +60,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("need at least one replication")
+        if self.replications < MIN_FRAMES:  # each report frames one record per replication
+            raise InsufficientFramesError(
+                f"need at least {MIN_FRAMES} replications, got {self.replications}")
         if not self.families:
             raise ConfigError("at least one noise family is required")
         object.__setattr__(self, "families", tuple(self.families))

@@ -2,14 +2,16 @@
 
 The test battery follows the classic bicoherence route: per-record FFTs,
 frame-averaged triple products at the points of the principal bifrequency
-domain (the only bispectrum points the test reads), their squared
-bicoherence, and a chi-squared statistic whose survival probability (PFA) is
-high when Gaussianity cannot be rejected.  Average excess kurtosis and
-histograms complete the battery.  ``gaussianity_report`` is the one route to
-the statistic, its degrees of freedom and the PFA.  An ensemble whose centred
-values have an rms below 4 eps sqrt(R) at unit scale is degenerate: every record
-is constant, or a constant plus one shape shared by all records, and once the
-means are removed nothing but rounding residue is left to test.
+domain (the only bispectrum points the test reads), formed one chunk of
+frames at a time in about 256 KB and never over the whole (frames, j, k)
+grid, their squared bicoherence, and a chi-squared statistic whose survival
+probability (PFA) is high when Gaussianity cannot be rejected.  Average
+excess kurtosis and histograms complete the battery.  ``gaussianity_report``
+is the one route to the statistic, its degrees of freedom and the PFA.  An
+ensemble whose centred values have an rms below 4 eps sqrt(R) at unit scale
+is degenerate: every record is constant, or a constant plus one shape
+shared by all records, and once the means are removed nothing but rounding
+residue is left to test.
 
 Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DegenerateDataError, InsufficientFramesError
 
 EPS_FLOOR = 1e-30
@@ -44,6 +45,8 @@ _EPS = 2.0**-52
 _TINY = 1e-300  # keeps the Lentz recurrence off zero denominators
 #: DFT length M and histogram bin count of the reference study
 REFERENCE_FFT_LEN, REFERENCE_BINS = 64, 20
+# complex triple products per frame chunk: 16384 * 16 B = 256 KB stays in L2
+_CHUNK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class Ensemble:
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 2 or vals.shape[0] < 1:
+        if vals.ndim != 2 or 0 in vals.shape:  # no records, or records of no samples
             raise ConfigError("ensemble must be a non-empty R x N table")
         if not np.all(np.isfinite(vals)):
             raise ConfigError("ensemble values must be finite")
@@ -80,9 +83,19 @@ def segment_record(values: np.ndarray, frame_len: int) -> Ensemble:
     return Ensemble(v[: K * frame_len].reshape(K, frame_len))
 
 
+def _principal_index(M):
+    """``(j, k)`` of the principal domain 1 <= k <= j, j + k <= M/2 - 1, row ``j`` by row."""
+    half = M // 2
+    rows = np.arange(1, half - 1)
+    widths = np.minimum(rows, half - 1 - rows)
+    j = np.repeat(rows, widths)
+    starts = np.cumsum(widths) - widths
+    return j, np.arange(j.size) - np.repeat(starts, widths) + 1
+
+
 def principal_domain(fft_len: int) -> list[tuple[int, int]]:
     """Non-redundant bifrequency pairs: 1 <= k <= j, j + k <= M/2 - 1."""
-    j, k = _kernels.principal_index(fft_len)
+    j, k = _principal_index(fft_len)
     return list(zip(j.tolist(), k.tolist()))
 
 
@@ -152,10 +165,49 @@ def _power(X: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(X[:, : X.shape[1] // 2 + 1]) ** 2, axis=0)
 
 
+def _principal_triples(X):
+    # X: (R, M) complex FFT frames; returns the mean triple product and mean
+    # squared magnitude at the principal-domain points.
+    R, M = X.shape
+    j, k = _principal_index(M)
+    jk = j + k  # j + k <= M/2 - 1: no wrap
+    P = j.size
+    rc = max(1, _CHUNK_POINTS // P)
+    # Row 0 of each buffer carries the running frame sums; rows 1..n hold the
+    # chunk's T = X_j X_k conj(X_{j+k}) and |T|^2.  Both buffers are C-ordered
+    # and P >= 2 for every valid M, so the axis-0 sums add frames in order
+    # r = 0, 1, ..., R-1, as a frame-by-frame loop would.  take's "clip" mode
+    # writes straight into out (its default "raise" mode buffers); no index clips.
+    t = np.empty((rc + 1, P), dtype=np.complex128)
+    u = np.empty_like(t)
+    a = np.empty(t.shape)
+    s3 = np.zeros(P, dtype=np.complex128)
+    msq = np.zeros(P)
+    for r0 in range(0, R, rc):
+        Xr = X[r0 : r0 + rc]
+        n = Xr.shape[0]
+        tc, uc, ac = t[1 : n + 1], u[1 : n + 1], a[1 : n + 1]
+        np.take(Xr, j, axis=1, out=tc, mode="clip")
+        np.take(Xr, k, axis=1, out=uc, mode="clip")
+        tc *= uc
+        np.take(Xr, jk, axis=1, out=uc, mode="clip")
+        np.conj(uc, out=uc)
+        tc *= uc
+        np.abs(tc, out=ac)
+        ac *= ac
+        t[0] = s3
+        a[0] = msq
+        np.sum(t[: n + 1], axis=0, out=s3)
+        np.sum(a[: n + 1], axis=0, out=msq)
+    s3 /= R
+    msq /= R
+    return s3, msq
+
+
 def _bicoherence(fft_len, K, s3, msq, power) -> tuple[BicoherenceGrid, float, int]:
     """The kept bicoherence grid, Hinich's chi-squared statistic S and its dof."""
-    # s3, msq: frame means at the principal-domain points, in principal_index order
-    j, k = _kernels.principal_index(fft_len)
+    # s3, msq: frame means at the principal-domain points, in _principal_index order
+    j, k = _principal_index(fft_len)
     den = power[j] * power[k] * power[j + k]
     # np.hypot is the scalar abs() of a complex number bit for bit (np.abs is not)
     h = np.hypot(s3.real, s3.imag)
@@ -329,7 +381,7 @@ def gaussianity_report(
     if math.sqrt(ms) < 4 * _EPS * math.sqrt(R):
         raise DegenerateDataError("every record is constant, or a constant plus one shape "
                                   "shared by all records: only rounding residue is left")
-    s3, msq = _kernels.principal_triples(X)
+    s3, msq = _principal_triples(X)
     bicoh, stat, dof = _bicoherence(fft_len, R, s3, msq, power)
     kurt = _kurtosis(scaled.values)
     hist = histogram(v, bins)

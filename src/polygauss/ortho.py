@@ -6,7 +6,8 @@ abscissas is built by the classical three-term (Forsythe/Gram) recurrence:
     p_{-1} = 0,  p_0 = 1,
     p_{j+1}[n] = (t_n - a_j) p_j[n] - b_j p_{j-1}[n],
 
-with a_j = sum t_n p_j^2[n] / q_j, b_j = q_j / q_{j-1} and q_j = sum p_j^2[n].
+with a_j = sum t_n p_j^2[n] / q_j, b_j = q_j / q_{j-1} and q_j = sum p_j^2[n],
+which ``_gram_recurrence`` runs and ``build_basis`` checks.
 Projecting data onto the first J polynomials gives the smoothing transform
 y = P Q^-1 P^T x; the projector's entries are the error-mixing coefficients
 that relate the post-transform error process to the raw noise.
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     ConfigError,
     DegenerateDataError,
@@ -107,6 +107,33 @@ class ProjectionOperator:
         return 0.5 * (H + H.T)
 
 
+def _gram_recurrence(t, J):
+    # a_j and b_j are Python-float loop locals and each new row is formed in
+    # place in P with one length-N scratch buffer; the operations and their
+    # order are those of (t - a_j) * p_j - b_j * p_{j-1}, so every bit is too
+    N = t.shape[0]
+    P = np.zeros((J, N))
+    q = [0.0] * J
+    P[0] = 1.0
+    q[0] = qj = float(N)
+    rows = list(P)
+    s = np.empty(N)
+    for j in range(J - 1):
+        if qj <= 0.0:  # underflowed basis; caller rejects the zero norms
+            break
+        pj, nxt = rows[j], rows[j + 1]
+        np.multiply(pj, pj, s)
+        aj = float(t.dot(s)) / qj
+        np.subtract(t, aj, nxt)
+        np.multiply(nxt, pj, nxt)
+        if j > 0:
+            bj = qj / q[j - 1]
+            np.multiply(rows[j - 1], bj, s)
+            np.subtract(nxt, s, nxt)
+        q[j + 1] = qj = float(nxt.dot(nxt))
+    return P, np.array(q)
+
+
 def build_basis(grid: SampleGrid, order: int) -> PolynomialBasis:
     """Build the first ``order`` orthogonal polynomials on ``grid``."""
     N = grid.count
@@ -114,7 +141,7 @@ def build_basis(grid: SampleGrid, order: int) -> PolynomialBasis:
         raise OrderRangeError(f"order {order} outside [1, {N}]")
     # overflow or nan in the recurrence is what the finiteness check below rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        P, q = _kernels.gram_recurrence(grid.points, order)
+        P, q = _gram_recurrence(grid.points, order)
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(q))):
         raise DegenerateGridError("recurrence produced non-finite values")
     if np.any(q <= _Q_FLOOR):
@@ -134,7 +161,8 @@ def coefficients(basis: PolynomialBasis, X: np.ndarray) -> np.ndarray:
 
 def transform(op: ProjectionOperator, x: Sequence) -> Sequence:
     """Project ``x`` onto the polynomial subspace via the O(NJ) coefficient route."""
-    if x.grid.count != op.basis.grid.count:
+    # equal counts are not enough: the fit reads the basis at its own abscissas
+    if not np.array_equal(x.grid.points, op.basis.grid.points):
         raise DimensionError("sequence grid does not match operator grid")
     return Sequence(coefficients(op.basis, x.values) @ op.basis.values, x.grid)
 
@@ -178,7 +206,8 @@ def select_order(
 
     ``oracle`` needs the clean signal and the noise variance (simulation use);
     ``penalized`` needs the observed record and the noise variance and uses a
-    Cp-style unbiased surrogate.  Ties break toward the smaller order.
+    Cp-style unbiased surrogate; either record must lie on ``grid``.  Ties
+    break toward the smaller order.
 
     ``j_range`` must hold distinct integer orders in ascending order.  The
     recurrence is prefix-nested (the first J rows of the order-K basis are the
@@ -209,13 +238,14 @@ def select_order(
     if mode == "oracle":
         if signal is None:
             raise ConfigError("oracle mode needs the clean signal")
-        data = signal.values
-        penalty = noise_var / N
+        record, penalty = signal, noise_var / N
     else:
         if observed is None:
             raise ConfigError("penalized mode needs the observed record")
-        data = observed.values
-        penalty = 2.0 * noise_var / N
+        record, penalty = observed, 2.0 * noise_var / N
+    if not np.array_equal(record.grid.points, grid.points):
+        raise DimensionError(f"the {mode} record's grid does not match the selection grid")
+    data = record.values
 
     full = build_basis(grid, orders[-1])
     P = full.values

@@ -60,13 +60,13 @@ def _stepwise_gram_recurrence(t, J):
 
 @pytest.fixture(scope="session")
 def stepwise_gram_recurrence():
-    """The recurrence one row expression at a time: the reference that pins ``gram_recurrence``."""
+    """The recurrence one row expression at a time: the reference for ``ortho._gram_recurrence``."""
     return _stepwise_gram_recurrence
 
 
 @pytest.fixture(scope="session")
 def sequential_triple_grid():
-    """The full triple-product grid: the reference that pins ``principal_triples``."""
+    """The full triple-product grid: the reference for ``gaussianity._principal_triples``."""
     return _sequential_triple_grid
 
 

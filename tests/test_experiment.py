@@ -102,6 +102,14 @@ class TestRunExperiment:
         with pytest.raises(pg.DegenerateDataError, match="J=1"):
             pg.run_experiment(pg.ExperimentConfig.reference(16, 1, snr_db=-3.0))
 
+    def test_too_few_replications_before_draws(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn for a study too small to test")
+
+        monkeypatch.setattr(pg.experiment, "draw_noise_ensemble", no_draws)
+        with pytest.raises(pg.InsufficientFramesError, match="at least 8 replications, got 4"):
+            pg.run_experiment(pg.ExperimentConfig.reference(4, 1))
+
     def test_config_validation(self):
         with pytest.raises(pg.ConfigError):
             pg.ExperimentConfig.reference(replications=0, seed=1)
@@ -168,9 +176,15 @@ class TestRunExperiment:
             pg.run_experiment(small_config(reps=16))
         assert info.value is raised
 
-    def test_package_error_names_family(self):
+    def test_package_error_names_family(self, monkeypatch):
+        # the config rejects fewer than MIN_FRAMES replications, so the report's
+        # own frame error is raised here
+        def too_few(*args, **kwargs):
+            raise pg.InsufficientFramesError("need at least 8 records, got 1")
+
+        monkeypatch.setattr(pg.experiment, "gaussianity_report", too_few)
         with pytest.raises(pg.InsufficientFramesError, match="family 'gaussian'"):
-            pg.run_experiment(small_config(reps=1))
+            pg.run_experiment(small_config(reps=16))
 
 
 class TestEmitReport:

@@ -13,8 +13,8 @@ from scipy.integrate import quad
 
 import polygauss as pg
 from conftest import src_env
-from polygauss import _kernels
-from polygauss.gaussianity import EPS_FLOOR, _bicoherence, _frames_fft, _power
+from polygauss.gaussianity import (EPS_FLOOR, _bicoherence, _frames_fft, _power,
+                                   _principal_triples)
 
 
 def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
@@ -28,7 +28,7 @@ def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
 
 
 def ensemble_triples(ens, fft_len):
-    return _kernels.principal_triples(_frames_fft(ens, fft_len))
+    return _principal_triples(_frames_fft(ens, fft_len))
 
 
 class TestBispectrum:
@@ -100,7 +100,7 @@ class TestBicoherence:
     def test_zero_bispectrum_zero_grid(self):
         rng = np.random.default_rng(9)
         X = _frames_fft(pg.Ensemble(rng.standard_normal((32, 30))), 32)
-        s3, msq = _kernels.principal_triples(X)
+        s3, msq = _principal_triples(X)
         grid, stat, dof = _bicoherence(32, 32, np.zeros_like(s3), msq, _power(X))
         npt.assert_array_equal(grid.values, np.zeros(len(grid.points)))
         assert grid.points and (stat, dof) == (0.0, 2 * len(grid.points))
@@ -526,6 +526,13 @@ class TestHistogram:
             warnings.simplefilter("error")
             with pytest.raises(pg.DegenerateDataError, match="overflow"):
                 pg.histogram(v, 20)
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("values", [np.zeros((8, 0)), np.array([])])
+    def test_records_without_samples_rejected(self, values):
+        with pytest.raises(pg.ConfigError, match="non-empty"):
+            pg.Ensemble(values)
 
 
 class TestSegmentRecord:

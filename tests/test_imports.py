@@ -38,7 +38,7 @@ def test_import_loads_no_layer():
 
 def test_select_order_loads_only_its_layers():
     assert loaded_after("import polygauss as pg\npg.select_order") == {
-        "polygauss", "polygauss._kernels", "polygauss.errors", "polygauss.ortho"}
+        "polygauss", "polygauss.errors", "polygauss.ortho"}
 
 
 def test_noise_module_leaves_numpy_random_to_the_first_draw():
@@ -58,6 +58,18 @@ def test_transform_loads_no_study_layer(tmp_path, order):
     loaded = loaded_after(f"from polygauss.cli import main\nassert main({argv!r}) == 0")
     assert "polygauss.ortho" in loaded
     assert not loaded & STUDY_LAYERS
+
+
+def test_test_command_loads_no_study_layer(tmp_path):
+    src = tmp_path / "ens.csv"
+    rows = np.random.default_rng(3).standard_normal((16, 30)).tolist()
+    src.write_text("rep,index,value\n" + "".join(f"{r},{i},{v!r}\n" for r, row in enumerate(rows)
+                                                 for i, v in enumerate(row)))
+    argv = ["test", "--in", str(src), "--out-dir", str(tmp_path / "out")]
+    loaded = loaded_after(f"from polygauss.cli import main\nassert main({argv!r}) == 0")
+    # the battery's own layer, and no noise, experiment or numpy.random
+    assert loaded == {"polygauss", "polygauss.cli", "polygauss.csvio", "polygauss.errors",
+                      "polygauss.gaussianity", "polygauss.ortho"}
 
 
 def test_every_public_name_is_the_defining_modules_object():

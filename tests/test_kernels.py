@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polygauss as pg
-from polygauss import _kernels
+from polygauss.gaussianity import _CHUNK_POINTS, _principal_triples
+from polygauss.ortho import _gram_recurrence
 
 
 def random_frames(rng, R=32, M=64):
@@ -13,9 +14,9 @@ def random_frames(rng, R=32, M=64):
 
 
 def chunked_frames(half, full_chunks, last):
-    # frame count that fills full_chunks of principal_triples' frame chunks at
+    # frame count that fills full_chunks of _principal_triples' frame chunks at
     # M = 2 * half and leaves `last` frames for one more chunk
-    rc = max(1, _kernels._CHUNK_POINTS // len(pg.principal_domain(2 * half)))
+    rc = max(1, _CHUNK_POINTS // len(pg.principal_domain(2 * half)))
     return full_chunks * rc + last
 
 
@@ -28,7 +29,7 @@ class TestNumpyKernels:
         x = (np.cos(2 * np.pi * 2 * n / M) + np.cos(2 * np.pi * 3 * n / M)
              + np.cos(2 * np.pi * 5 * n / M))
         X = np.fft.fft(x[None, :], axis=1)
-        s3, msq = _kernels.principal_triples(X)
+        s3, msq = _principal_triples(X)
         at = pg.principal_domain(M).index((3, 2))
         assert s3[at] == pytest.approx((M / 2) ** 3, abs=1e-6)
         assert np.abs(np.delete(s3, at)).max() < 1e-9
@@ -37,7 +38,7 @@ class TestNumpyKernels:
     def test_triple_grid_mean_of_frames(self):
         rng = np.random.default_rng(2)
         X = random_frames(rng, R=5, M=16)
-        s3, msq = _kernels.principal_triples(X)
+        s3, msq = _principal_triples(X)
         j, k = np.array(pg.principal_domain(16)).T
         T = X[:, j] * X[:, k] * np.conj(X[:, j + k])
         npt.assert_allclose(s3, T.mean(axis=0), rtol=1e-12)
@@ -45,7 +46,7 @@ class TestNumpyKernels:
 
     def test_gram_recurrence_three_points(self):
         # P_1 = t - a_0 pins a_0 = 1, and P_2 = (t - a_1) P_1 - b_1 P_0 pins b_1 = 2/3
-        P, q = _kernels.gram_recurrence(np.array([0.0, 1.0, 2.0]), 3)
+        P, q = _gram_recurrence(np.array([0.0, 1.0, 2.0]), 3)
         npt.assert_allclose(P[1], [-1.0, 0.0, 1.0], atol=1e-15)
         npt.assert_allclose(P[2], [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
         npt.assert_allclose(q, [3.0, 2.0, 2 / 3], atol=1e-15)
@@ -56,7 +57,7 @@ class TestNumpyKernels:
         (np.arange(40) * 1e-30, 12),  # the norms underflow and the loop breaks
     ])
     def test_gram_recurrence_bitwise_equal_to_stepwise(self, stepwise_gram_recurrence, t, J):
-        for got, ref in zip(_kernels.gram_recurrence(t, J), stepwise_gram_recurrence(t, J)):
+        for got, ref in zip(_gram_recurrence(t, J), stepwise_gram_recurrence(t, J)):
             assert np.array_equal(got, ref)
 
 
@@ -72,7 +73,7 @@ class TestPrincipalTriples:
                                                        R, half, seed):
         M = 2 * half
         X = random_frames(np.random.default_rng(seed), R=R, M=M)
-        s3, msq = _kernels.principal_triples(X)
+        s3, msq = _principal_triples(X)
         grid_s3, grid_msq = sequential_triple_grid(X, half + 1)
         j, k = np.array(pg.principal_domain(M)).T
         assert np.array_equal(s3, grid_s3[j, k])

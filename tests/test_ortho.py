@@ -239,6 +239,13 @@ class TestTransform:
         with pytest.raises(pg.DimensionError):
             pg.transform(op, pg.Sequence(np.zeros(4), other))
 
+    def test_same_count_other_points_rejected(self):
+        # fitted on its own grid the record would come back unchanged
+        grid = pg.SampleGrid(np.array([0.0, 1, 2, 4, 8]))
+        op = pg.projection_operator(pg.build_basis(grid, 2))
+        with pytest.raises(pg.DimensionError):
+            pg.transform(op, pg.Sequence(np.arange(5.0), pg.SampleGrid.uniform(5, 1.0)))
+
     def test_error_process_matches_mixing_sum(self):
         # with zero signal the transform output equals the coefficient-mixed noise
         grid = pg.SampleGrid.uniform(60, 0.15)
@@ -341,6 +348,14 @@ class TestSelectOrder:
                 pg.select_order(GRID3, "penalized", [1, 2], observed=g, noise_var=bad)
         with pytest.raises(pg.ConfigError):
             pg.select_order(GRID3, "bogus", [1, 2])
+
+    @pytest.mark.parametrize("mode,key", [("oracle", "signal"), ("penalized", "observed")])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_record_off_the_grid_rejected(self, mode, key, n):
+        grid = pg.SampleGrid(np.array([0.0, 1, 2, 4, 8]))
+        record = pg.Sequence(np.arange(float(n)), pg.SampleGrid.uniform(n, 1.0))
+        with pytest.raises(pg.DimensionError):
+            pg.select_order(grid, mode, [1, 2], noise_var=1.0, **{key: record})
 
     @pytest.mark.parametrize("mode", ["oracle", "penalized"])
     @pytest.mark.parametrize("N,j_range", [(60, None), (240, None), (60, range(2, 9))])
