@@ -13,24 +13,21 @@ import math
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .csvio import write_bicoherence_csv, write_histogram_csv
-from .errors import ConfigError, DegenerateDataError, InsufficientFramesError, PolygaussError
+from .errors import ConfigError, DegenerateDataError, PolygaussError
 from .gaussianity import (
-    MIN_FRAMES,
     REFERENCE_BINS,
     REFERENCE_FFT_LEN,
     Ensemble,
     GaussianityReport,
-    _validate_bins,
-    _validate_fft_len,
+    _check_setup,
     gaussianity_report,
 )
 from .noise import (
     NOISE_FAMILIES,
     NoiseSpec,
     SignalSpec,
+    _family_seed,
     draw_noise_ensemble,
     noise_sigma,
     synth_signal,
@@ -60,9 +57,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("need at least one replication")
-        if self.replications < MIN_FRAMES:  # each report frames one record per replication
-            raise InsufficientFramesError(
-                f"need at least {MIN_FRAMES} replications, got {self.replications}")
         if not self.families:
             raise ConfigError("at least one noise family is required")
         object.__setattr__(self, "families", tuple(self.families))
@@ -77,12 +71,8 @@ class ExperimentConfig:
         # as degenerate data; nan is no setting at all
         if math.isnan(self.snr_db):
             raise ConfigError("the SNR in dB must be a number, got nan")
-        # sized for the R frames of one report, so no family is drawn before a size is rejected
-        _validate_fft_len(self.fft_len, self.replications)
-        if self.grid.count > self.fft_len:
-            raise ConfigError(f"records of {self.grid.count} points are longer than "
-                              f"the FFT length {self.fft_len}")
-        _validate_bins(self.bins)
+        # each report's setup, so no family is drawn before a report would reject it
+        _check_setup(self.replications, self.grid.count, self.fft_len, self.bins)
 
     @classmethod
     def reference(cls, replications: int, seed: int, **setup) -> "ExperimentConfig":
@@ -102,14 +92,6 @@ class FamilyResult:
 class ExperimentResult:
     config: ExperimentConfig
     families: tuple = field(default_factory=tuple)  # FamilyResult in request order
-
-
-def _family_seed(master_seed: int, family: str) -> int:
-    # Family-specific master so families use disjoint substream spaces while
-    # replication indices stay independent of R.
-    idx = NOISE_FAMILIES.index(family)
-    ss = np.random.SeedSequence((int(master_seed) & 0xFFFFFFFFFFFFFFFF, idx))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

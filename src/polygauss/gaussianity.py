@@ -1,17 +1,20 @@
 """Higher-order-spectrum Gaussianity testing for ensembles of short records.
 
-The test battery follows the classic bicoherence route: per-record FFTs,
-frame-averaged triple products at the points of the principal bifrequency
-domain (the only bispectrum points the test reads), formed one chunk of
-frames at a time in about 256 KB and never over the whole (frames, j, k)
-grid, their squared bicoherence, and a chi-squared statistic whose survival
-probability (PFA) is high when Gaussianity cannot be rejected.  Average
-excess kurtosis and histograms complete the battery.  ``gaussianity_report``
-is the one route to the statistic, its degrees of freedom and the PFA.  An
-ensemble whose centred values have an rms below 4 eps sqrt(R) at unit scale
-is degenerate: every record is constant, or a constant plus one shape
-shared by all records, and once the means are removed nothing but rounding
-residue is left to test.
+``gaussianity_report`` runs the classic bicoherence battery in one order.  It
+checks the setup first (FFT length, record length, histogram bins, then the
+frame count), so a bad setup fails before any work.  It scales the ensemble by
+the power of two that puts max|v| into [1/2, 1), removes the per-index mean
+once and takes per-record FFTs of that one centred copy.  An ensemble whose
+centred values have an rms below 4 eps sqrt(R) at unit scale is degenerate:
+every record is constant, or a constant plus one shape shared by all records,
+and nothing but rounding residue is left to test.  Frame-averaged triple
+products at the principal bifrequency domain (the only bispectrum points the
+test reads), formed one chunk of frames at a time in about 256 KB and never
+over the whole (frames, j, k) grid, give the squared bicoherence and a
+chi-squared statistic whose survival probability (PFA) is high when
+Gaussianity cannot be rejected.  The average excess kurtosis reads the same
+centred copy and the histogram the data in their units.  The report is the
+one route to the statistic, its degrees of freedom and the PFA.
 
 Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
@@ -145,20 +148,21 @@ def _validate_bins(bins: int) -> None:
     _require_array_bytes((int(bins) + 1) * 8, f"the edges of {bins} histogram bins")
 
 
-def _frames_fft(ensemble: Ensemble, fft_len: int) -> np.ndarray:
-    _validate_fft_len(fft_len, ensemble.replications)
-    if ensemble.record_length > fft_len:
-        raise ConfigError("records longer than the FFT length")
-    if ensemble.replications < MIN_FRAMES:
+def _check_setup(replications: int, record_length: int, fft_len: int, bins: int) -> None:
+    """Reject a report's setup before any work: the settings first, then the frame count."""
+    _validate_fft_len(fft_len, replications)
+    if record_length > fft_len:
+        raise ConfigError(f"records of {record_length} points are longer than "
+                          f"the FFT length {fft_len}")
+    _validate_bins(bins)
+    if replications < MIN_FRAMES:  # each record is one frame
         raise InsufficientFramesError(
-            f"need at least {MIN_FRAMES} records, got {ensemble.replications}"
-        )
-    v = ensemble.values
-    # Remove the per-index ensemble mean: deterministic structure shared by
-    # all records (e.g. residual fitting bias) is not randomness under test.
-    v = v - v.mean(axis=0, keepdims=True)
-    v = v - v.mean(axis=1, keepdims=True)
-    return np.fft.fft(v, n=fft_len, axis=1)
+            f"need at least {MIN_FRAMES} replications, got {replications}")
+
+
+def _frames_fft(u: np.ndarray, fft_len: int) -> np.ndarray:
+    """The FFT frames of the index-centred records ``u``, each record's mean removed first."""
+    return np.fft.fft(u - u.mean(axis=1, keepdims=True), n=fft_len, axis=1)
 
 
 def _power(X: np.ndarray) -> np.ndarray:
@@ -300,14 +304,14 @@ def _gamma_q(a: float, x: float) -> float:
     return prefactor * h
 
 
-def _unit_scaled(ensemble: Ensemble, vmax: float) -> Ensemble:
-    """The ensemble times the power of two that puts vmax = max|v| into [1/2, 1).
+def _unit_scaled(values: np.ndarray) -> np.ndarray:
+    """The values times the power of two that puts max|v| into [1/2, 1).
 
     ldexp scales every element exactly, subnormal ones included, so a statistic
     of the result is the same bit for bit whatever power of two the data's units
     carry, and the moments are formed at unit scale, far from underflow.
     """
-    return Ensemble(np.ldexp(ensemble.values, -math.frexp(vmax)[1]))
+    return np.ldexp(values, -math.frexp(float(np.abs(values).max()))[1])
 
 
 def excess_kurtosis(ensemble: Ensemble) -> float:
@@ -316,17 +320,17 @@ def excess_kurtosis(ensemble: Ensemble) -> float:
     With a single record the kurtosis is taken across time instead (input-noise
     spot checks).
     """
-    return _kurtosis(_unit_scaled(ensemble, np.abs(ensemble.values).max()).values)
-
-
-def _kurtosis(v: np.ndarray) -> float:
-    # excess_kurtosis of values already at unit scale; a single record is
-    # transposed, so its samples are the replications of one index
-    if v.shape[0] == 1:
+    v = ensemble.values
+    if v.shape[0] == 1:  # a single record's samples are the replications of one index
         v = v.T
     if v.shape[0] < 4:
         raise DegenerateDataError("kurtosis needs at least 4 replications of each index")
-    u = v - v.mean(axis=0, keepdims=True)
+    u = _unit_scaled(v)
+    return _kurtosis(u - u.mean(axis=0, keepdims=True))
+
+
+def _kurtosis(u: np.ndarray) -> float:
+    # excess_kurtosis of index-centred values at unit scale
     u2 = u**2  # squared once: u**4 would go through libm pow
     m2 = np.mean(u2, axis=0)
     if np.any(m2 == 0):
@@ -367,12 +371,15 @@ def gaussianity_report(
     bins: int = REFERENCE_BINS,
 ) -> GaussianityReport:
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
-    v = ensemble.values
     R = ensemble.replications
+    _check_setup(R, ensemble.record_length, fft_len, bins)
     # every statistic but the histogram, whose edges are in data units, reads the
     # rescaled copy, so it keeps its bits when the data are scaled by a power of two
-    scaled = _unit_scaled(ensemble, float(np.abs(v).max()))
-    X = _frames_fft(scaled, fft_len)  # a bad FFT or record length is a config error first
+    u = _unit_scaled(ensemble.values)
+    # Remove the per-index ensemble mean: deterministic structure shared by
+    # all records (e.g. residual fitting bias) is not randomness under test.
+    u -= u.mean(axis=0, keepdims=True)
+    X = _frames_fft(u, fft_len)
     power = _power(X)
     # the centred rms at unit scale, by Parseval (real frames hold bins 1..M/2-1 twice):
     # rounding residue reads at most about 0.13 eps sqrt(R), Gaussian data on an
@@ -383,8 +390,8 @@ def gaussianity_report(
                                   "shared by all records: only rounding residue is left")
     s3, msq = _principal_triples(X)
     bicoh, stat, dof = _bicoherence(fft_len, R, s3, msq, power)
-    kurt = _kurtosis(scaled.values)
-    hist = histogram(v, bins)
+    kurt = _kurtosis(u)
+    hist = histogram(ensemble.values, bins)
     return GaussianityReport(
         statistic=stat,
         dof=dof,

@@ -23,7 +23,7 @@ from .ortho import SampleGrid, Sequence
 
 _LAPLACE_B, _SQRT3 = 1 / math.sqrt(2), math.sqrt(3)  # unit-variance Laplace scale, uniform edge
 #: family -> (fill(rng, row, k) writing one row in place, k -> (shift, scale) or None).
-#: A family's position is its stream index in ``experiment._family_seed``, so new
+#: A family's position is its stream index in ``_family_seed`` below, so new
 #: families go at the end and no entry ever moves.
 _FAMILIES = {
     "gaussian": (lambda rng, row, k: rng.standard_normal(out=row), None),
@@ -32,6 +32,15 @@ _FAMILIES = {
     "gamma": (lambda rng, row, k: rng.standard_gamma(k, out=row), lambda k: (k, math.sqrt(k))),
 }
 NOISE_FAMILIES = tuple(_FAMILIES)
+
+
+def _family_seed(master_seed: int, family: str) -> int:
+    # Family-specific master so families use disjoint substream spaces while
+    # replication indices stay independent of R.
+    idx = NOISE_FAMILIES.index(family)
+    ss = np.random.SeedSequence((int(master_seed) & 0xFFFFFFFFFFFFFFFF, idx))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
 
 #: amplitude, damping (1/time), angular frequency (rad/time), phase (rad)
 #: of the reference three-component transient used throughout the test study.

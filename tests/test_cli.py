@@ -752,6 +752,19 @@ class TestSimulate:
         assert named in err and "family" not in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--fft-len", "7"], "FFT length"),
+        (["--noise", "bogus"], "unknown noise family"),
+    ])
+    def test_flag_error_before_too_few_reps(self, tmp_path, capsys, flags, named):
+        # a bad setting exits 1 even when --reps is also below the 8 frames a report needs
+        out_dir = tmp_path / "o"
+        assert run("simulate", "--paper", "--reps", "4", "--seed", "1", *flags,
+                   "--out-dir", str(out_dir)) == 1
+        err = capsys.readouterr().err
+        assert named in err and "replications" not in err
+        assert not out_dir.exists()
+
     def test_malformed_component(self, tmp_path, capsys):
         assert run("simulate", "--component", "a,b,c,d", "--reps", "16", "--seed", "1",
                    "--out-dir", str(tmp_path / "o")) == 1

@@ -7,14 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polygauss as pg
 from conftest import src_env
-from polygauss.gaussianity import (EPS_FLOOR, _bicoherence, _frames_fft, _power,
-                                   _principal_triples)
+from polygauss.gaussianity import (_CHUNK_POINTS, EPS_FLOOR, _bicoherence, _frames_fft,
+                                   _power, _principal_triples)
 
 
 def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
@@ -27,8 +27,14 @@ def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
     return pg.Ensemble(np.cos(t1) + np.cos(t2) + np.cos(t1 + t2))
 
 
+def frames(ens, fft_len):
+    # the report's FFT frames: _frames_fft reads values already centred per index
+    v = ens.values
+    return _frames_fft(v - v.mean(axis=0, keepdims=True), fft_len)
+
+
 def ensemble_triples(ens, fft_len):
-    return _principal_triples(_frames_fft(ens, fft_len))
+    return _principal_triples(frames(ens, fft_len))
 
 
 class TestBispectrum:
@@ -56,15 +62,102 @@ class TestBispectrum:
     def test_config_errors(self):
         ens = pg.Ensemble(np.zeros((16, 16)))
         with pytest.raises(pg.ConfigError):
-            _frames_fft(ens, 17)
+            pg.gaussianity_report(ens, 17)
         with pytest.raises(pg.ConfigError):
-            _frames_fft(ens, 6)
+            pg.gaussianity_report(ens, 6)
         with pytest.raises(pg.InsufficientFramesError):
-            _frames_fft(pg.Ensemble(np.zeros((4, 16))), 16)
+            pg.gaussianity_report(pg.Ensemble(np.zeros((4, 16))), 16)
+
+
+# one bad setting each, as (R, N, M, bins); the wording is that of ExperimentConfig
+BAD_SETUPS = pytest.mark.parametrize("R,N,M,bins,error,message", [
+    (16, 60, 64, 2**62, pg.ConfigError, "larger than any array"),
+    (16, 60, 6, 20, pg.ConfigError, "FFT length must be even"),
+    (16, 100, 64, 20, pg.ConfigError, "records of 100 points are longer than the FFT length 64"),
+    (4, 60, 64, 20, pg.InsufficientFramesError, "need at least 8 replications, got 4"),
+], ids=["bins", "fft_len", "record_length", "replications"])
+
+
+class TestSetupChecks:
+    @BAD_SETUPS
+    def test_report_rejects_before_any_work(self, monkeypatch, R, N, M, bins, error, message):
+        from polygauss import gaussianity
+
+        calls = []
+        frames_fft = gaussianity._frames_fft
+        monkeypatch.setattr(gaussianity, "_frames_fft",
+                            lambda *a: calls.append(a) or frames_fft(*a))
+        ens = pg.Ensemble(np.random.default_rng(2).standard_normal((R, N)))
+        with pytest.raises(error, match=message):
+            pg.gaussianity_report(ens, M, bins)
+        assert calls == []
+
+    @BAD_SETUPS
+    def test_config_and_report_raise_one_error(self, R, N, M, bins, error, message):
+        ens = pg.Ensemble(np.random.default_rng(2).standard_normal((R, N)))
+        with pytest.raises(error) as by_report:
+            pg.gaussianity_report(ens, M, bins)
+        with pytest.raises(error) as by_config:
+            pg.ExperimentConfig(R, 1, grid=pg.SampleGrid.uniform(N, 0.15), fft_len=M, bins=bins)
+        assert type(by_config.value) is type(by_report.value)
+        assert str(by_config.value) == str(by_report.value)
+
+
+def random_frames(rng, R=32, M=64):
+    return np.fft.fft(rng.standard_normal((R, M)), axis=1)
+
+
+def chunked_frames(half, full_chunks, last):
+    # frame count that fills full_chunks of _principal_triples' frame chunks at
+    # M = 2 * half and leaves `last` frames for one more chunk
+    rc = max(1, _CHUNK_POINTS // len(pg.principal_domain(2 * half)))
+    return full_chunks * rc + last
+
+
+class TestPrincipalTriples:
+    def test_triple_grid_coupled_triad(self):
+        # zero-phase triad at bins 2, 3 and 5: the only surviving triple
+        # product sits where j, k and j+k all land on occupied bins
+        M = 16
+        n = np.arange(M)
+        x = (np.cos(2 * np.pi * 2 * n / M) + np.cos(2 * np.pi * 3 * n / M)
+             + np.cos(2 * np.pi * 5 * n / M))
+        X = np.fft.fft(x[None, :], axis=1)
+        s3, msq = _principal_triples(X)
+        at = pg.principal_domain(M).index((3, 2))
+        assert s3[at] == pytest.approx((M / 2) ** 3, abs=1e-6)
+        assert np.abs(np.delete(s3, at)).max() < 1e-9
+        npt.assert_allclose(msq[at], abs(s3[at]) ** 2, rtol=1e-12)
+
+    def test_triple_grid_mean_of_frames(self):
+        rng = np.random.default_rng(2)
+        X = random_frames(rng, R=5, M=16)
+        s3, msq = _principal_triples(X)
+        j, k = np.array(pg.principal_domain(16)).T
+        T = X[:, j] * X[:, k] * np.conj(X[:, j + k])
+        npt.assert_allclose(s3, T.mean(axis=0), rtol=1e-12)
+        npt.assert_allclose(msq, (np.abs(T) ** 2).mean(axis=0), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(R=st.integers(1, 40), half=st.integers(4, 64), seed=st.integers(0, 2**32 - 1))
+    # the running sums carried across frame chunks, the last one a single frame
+    @example(R=chunked_frames(4, 1, 1), half=4, seed=1)
+    @example(R=chunked_frames(8, 2, 1), half=8, seed=2)
+    @example(R=chunked_frames(64, 2, 1), half=64, seed=3)
+    @example(R=chunked_frames(64, 5, 9), half=64, seed=4)
+    def test_bitwise_equal_to_grid_at_principal_points(self, sequential_triple_grid,
+                                                       R, half, seed):
+        M = 2 * half
+        X = random_frames(np.random.default_rng(seed), R=R, M=M)
+        s3, msq = _principal_triples(X)
+        grid_s3, grid_msq = sequential_triple_grid(X, half + 1)
+        j, k = np.array(pg.principal_domain(M)).T
+        assert np.array_equal(s3, grid_s3[j, k])
+        assert np.array_equal(msq, grid_msq[j, k])
 
 
 def power_spectrum(ens, fft_len):
-    return _power(_frames_fft(ens, fft_len))
+    return _power(frames(ens, fft_len))
 
 
 class TestPowerSpectrum:
@@ -99,7 +192,7 @@ class TestPowerSpectrum:
 class TestBicoherence:
     def test_zero_bispectrum_zero_grid(self):
         rng = np.random.default_rng(9)
-        X = _frames_fft(pg.Ensemble(rng.standard_normal((32, 30))), 32)
+        X = frames(pg.Ensemble(rng.standard_normal((32, 30))), 32)
         s3, msq = _principal_triples(X)
         grid, stat, dof = _bicoherence(32, 32, np.zeros_like(s3), msq, _power(X))
         npt.assert_array_equal(grid.values, np.zeros(len(grid.points)))
@@ -167,7 +260,7 @@ class TestPrincipalDomainReport:
         rng = np.random.default_rng(seed)
         ens = pg.Ensemble(rng.gamma(2.0, size=(R, int(rng.integers(2, M + 1)))))
         got = pg.gaussianity_report(ens, M)
-        X = _frames_fft(ens, M)
+        X = frames(ens, M)
         s3, msq = sequential_triple_grid(X, half + 1)
         assert_same_grid(got, loop_bicoherence(M, R, s3, msq, _power(X)))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polygauss as pg
+from polygauss.ortho import _gram_recurrence
 
 GRID3 = pg.SampleGrid(np.array([0.0, 1.0, 2.0]))
 H3_J2 = np.array([
@@ -27,6 +28,24 @@ def gram_schmidt_oracle(t, J):
             v -= (B[i] @ V[:, j]) / (B[i] @ B[i]) * B[i]
         B[j] = v
     return B
+
+
+class TestGramRecurrence:
+    def test_gram_recurrence_three_points(self):
+        # P_1 = t - a_0 pins a_0 = 1, and P_2 = (t - a_1) P_1 - b_1 P_0 pins b_1 = 2/3
+        P, q = _gram_recurrence(np.array([0.0, 1.0, 2.0]), 3)
+        npt.assert_allclose(P[1], [-1.0, 0.0, 1.0], atol=1e-15)
+        npt.assert_allclose(P[2], [1 / 3, -2 / 3, 1 / 3], atol=1e-15)
+        npt.assert_allclose(q, [3.0, 2.0, 2 / 3], atol=1e-15)
+
+    @pytest.mark.parametrize("t,J", [
+        (np.arange(240) * 0.0375, 240),
+        (np.arange(60) * 0.15, 3),
+        (np.arange(40) * 1e-30, 12),  # the norms underflow and the loop breaks
+    ])
+    def test_gram_recurrence_bitwise_equal_to_stepwise(self, stepwise_gram_recurrence, t, J):
+        for got, ref in zip(_gram_recurrence(t, J), stepwise_gram_recurrence(t, J)):
+            assert np.array_equal(got, ref)
 
 
 class TestBuildBasis:
