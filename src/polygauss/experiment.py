@@ -113,8 +113,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for family in config.families:
         spec = NoiseSpec(family=family, gamma_shape=config.gamma_shape)
         fam_seed = _family_seed(config.seed, family)
-        W = draw_noise_ensemble(spec, config.replications, N, fam_seed) * sigma
-        E = coefficients(basis, W + g.values) @ basis.values - g.values
+        W = draw_noise_ensemble(spec, config.replications, N, fam_seed)
+        W *= sigma
+        E = coefficients(basis, W + g.values) @ basis.values
+        E -= g.values
         try:
             inp = gaussianity_report(Ensemble(W), config.fft_len, config.bins)
             out = gaussianity_report(Ensemble(E), config.fft_len, config.bins)

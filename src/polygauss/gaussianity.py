@@ -3,18 +3,20 @@
 ``gaussianity_report`` runs the classic bicoherence battery in one order.  It
 checks the setup first (FFT length, record length, histogram bins, then the
 frame count), so a bad setup fails before any work.  It scales the ensemble by
-the power of two that puts max|v| into [1/2, 1), removes the per-index mean
-once and takes per-record FFTs of that one centred copy.  An ensemble whose
-centred values have an rms below 4 eps sqrt(R) at unit scale is degenerate:
-every record is constant, or a constant plus one shape shared by all records,
-and nothing but rounding residue is left to test.  Frame-averaged triple
-products at the principal bifrequency domain (the only bispectrum points the
-test reads), formed one chunk of frames at a time in about 256 KB and never
-over the whole (frames, j, k) grid, give the squared bicoherence and a
-chi-squared statistic whose survival probability (PFA) is high when
-Gaussianity cannot be rejected.  The average excess kurtosis reads the same
-centred copy and the histogram the data in their units.  The report is the
-one route to the statistic, its degrees of freedom and the PFA.
+the power of two that puts max|v| into [1/2, 1) and removes the per-index mean
+once.  Each record of that one centred copy, its own mean removed, is written
+into one zero-padded (R, M) complex buffer that is transformed in place.  An
+ensemble whose centred values have an rms below 4 eps sqrt(R) at unit scale is
+degenerate: every record is constant, or a constant plus one shape shared by
+all records, and nothing but rounding residue is left to test.  The average
+excess kurtosis, the centred copy's last reader, comes next, and the copy is
+dropped.  Frame-averaged triple products at the principal bifrequency domain
+(the only bispectrum points the test reads), formed one chunk of frames at a
+time in about 256 KB and never over the whole (frames, j, k) grid, give the
+squared bicoherence and a chi-squared statistic whose survival probability
+(PFA) is high when Gaussianity cannot be rejected.  The histogram reads the
+data in their units.  The report is the one route to the statistic, its
+degrees of freedom and the PFA.
 
 Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
@@ -161,8 +163,16 @@ def _check_setup(replications: int, record_length: int, fft_len: int, bins: int)
 
 
 def _frames_fft(u: np.ndarray, fft_len: int) -> np.ndarray:
-    """The FFT frames of the index-centred records ``u``, each record's mean removed first."""
-    return np.fft.fft(u - u.mean(axis=1, keepdims=True), n=fft_len, axis=1)
+    """The FFT frames of the index-centred records ``u``, each record's mean removed first.
+
+    The record-centred values go into the real part of one zeroed (R, M) complex
+    buffer, which is transformed in place: the same bits as
+    ``np.fft.fft(u - u.mean(axis=1, keepdims=True), n=M, axis=1)``, in one array.
+    """
+    R, N = u.shape
+    X = np.zeros((R, fft_len), dtype=np.complex128)
+    np.subtract(u, u.mean(axis=1, keepdims=True), out=X.real[:, :N])
+    return np.fft.fft(X, axis=1, out=X)
 
 
 def _power(X: np.ndarray) -> np.ndarray:
@@ -331,11 +341,11 @@ def excess_kurtosis(ensemble: Ensemble) -> float:
 
 def _kurtosis(u: np.ndarray) -> float:
     # excess_kurtosis of index-centred values at unit scale
-    u2 = u**2  # squared once: u**4 would go through libm pow
+    u2 = np.square(u)  # squared, then squared in place: u**4 would go through libm pow
     m2 = np.mean(u2, axis=0)
     if np.any(m2 == 0):
         raise DegenerateDataError("an index has zero variance across replications")
-    m4 = np.mean(u2**2, axis=0)
+    m4 = np.mean(np.square(u2, out=u2), axis=0)
     return float(np.mean(m4 / (m2 * m2) - 3.0))
 
 
@@ -358,9 +368,13 @@ def histogram(values, bins: int) -> Histogram:
     e = math.frexp(hi - lo)[1]
     width = math.ldexp(hi - lo, -e) / bins
     # right-closed bins (lo, edge_1], ...; the minimum and any rounding past the
-    # ends are clipped into the end bins
-    idx = np.ceil(np.ldexp(v - lo, -e) / width).astype(int) - 1
-    idx = np.clip(idx, 0, bins - 1)
+    # ends are clipped into the end bins. One float and one int buffer, each pass in place.
+    t = v - lo
+    np.ldexp(t, -e, out=t)
+    t /= width
+    idx = np.ceil(t, out=t).astype(int)
+    idx -= 1
+    np.clip(idx, 0, bins - 1, out=idx)
     counts = np.bincount(idx, minlength=bins)
     return Histogram(edges=edges, counts=counts)
 
@@ -388,9 +402,12 @@ def gaussianity_report(
     if math.sqrt(ms) < 4 * _EPS * math.sqrt(R):
         raise DegenerateDataError("every record is constant, or a constant plus one shape "
                                   "shared by all records: only rounding residue is left")
+    # the kurtosis is the centred copy's last reader: it goes before the triple
+    # products' chunk buffers are allocated, and the copy is dropped
+    kurt = _kurtosis(u)
+    del u
     s3, msq = _principal_triples(X)
     bicoh, stat, dof = _bicoherence(fft_len, R, s3, msq, power)
-    kurt = _kurtosis(u)
     hist = histogram(ensemble.values, bins)
     return GaussianityReport(
         statistic=stat,

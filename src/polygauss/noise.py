@@ -22,14 +22,17 @@ from .errors import ConfigError, DegenerateDataError, UndefinedSnrError
 from .ortho import SampleGrid, Sequence
 
 _LAPLACE_B, _SQRT3 = 1 / math.sqrt(2), math.sqrt(3)  # unit-variance Laplace scale, uniform edge
-#: family -> (fill(rng, row, k) writing one row in place, k -> (shift, scale) or None).
-#: A family's position is its stream index in ``_family_seed`` below, so new
-#: families go at the end and no entry ever moves.
+#: family -> (fill(rng, row, k) writing one row in place, finish(out, k) mapping all rows
+#: in place, or None). A family's position is its stream index in ``_family_seed``
+#: below, so new families go at the end and no entry ever moves. Uniform rows are
+#: ``Generator.uniform``'s ``low + (high - low) * random()``, its map applied once.
 _FAMILIES = {
     "gaussian": (lambda rng, row, k: rng.standard_normal(out=row), None),
     "laplacian": (lambda rng, row, k: np.copyto(row, rng.laplace(0.0, _LAPLACE_B, row.size)), None),
-    "uniform": (lambda rng, row, k: np.copyto(row, rng.uniform(-_SQRT3, _SQRT3, row.size)), None),
-    "gamma": (lambda rng, row, k: rng.standard_gamma(k, out=row), lambda k: (k, math.sqrt(k))),
+    "uniform": (lambda rng, row, k: rng.random(out=row),
+                lambda out, k: np.add(np.multiply(out, 2 * _SQRT3, out=out), -_SQRT3, out=out)),
+    "gamma": (lambda rng, row, k: rng.standard_gamma(k, out=row),
+              lambda out, k: np.divide(np.subtract(out, k, out=out), math.sqrt(k), out=out)),
 }
 NOISE_FAMILIES = tuple(_FAMILIES)
 
@@ -96,15 +99,13 @@ def synth_signal(spec: SignalSpec, grid: SampleGrid) -> Sequence:
 
 
 def _fill_rows(spec: NoiseSpec, generators, out: np.ndarray) -> np.ndarray:
-    """Fill row ``r`` of ``out`` from generator ``r``, then standardize all rows in one pass."""
-    fill, shift_scale = _FAMILIES[spec.family]
+    """Fill row ``r`` of ``out`` from generator ``r``, then map all rows in one pass."""
+    fill, finish = _FAMILIES[spec.family]
     k = spec.gamma_shape
     for rng, row in zip(generators, out):
         fill(rng, row, k)
-    if shift_scale is not None:
-        shift, scale = shift_scale(k)
-        out -= shift
-        out /= scale
+    if finish is not None:
+        finish(out, k)
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -101,6 +102,42 @@ class TestSetupChecks:
             pg.ExperimentConfig(R, 1, grid=pg.SampleGrid.uniform(N, 0.15), fft_len=M, bins=bins)
         assert type(by_config.value) is type(by_report.value)
         assert str(by_config.value) == str(by_report.value)
+
+
+def traced_peak(fn, *args):
+    """tracemalloc's peak over one call of ``fn``, after one untraced warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReportMemory:
+    @pytest.mark.parametrize("R, N, M", [(500, 60, 64), (1000, 100, 128), (64, 60, 64), (8, 8, 8)])
+    def test_frames_fft_bitwise_equal_to_padded_fft(self, R, N, M):
+        u = np.random.default_rng(R + N).standard_normal((R, N))
+        ref = np.fft.fft(u - u.mean(axis=1, keepdims=True), n=M, axis=1)
+        assert _frames_fft(u, M).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("R, N, M", [(500, 60, 64), (1000, 100, 128)])
+    def test_frames_fft_holds_one_frame_buffer(self, R, N, M):
+        # the (R, M) frames, plus the two float64 buffers numpy's ufunc loop takes
+        # for the strided write into their real part, plus 64 KB; a centred or
+        # padded copy beside the frames (R x N x 8 or R x M x 16 bytes) does not fit
+        u = np.random.default_rng(3).standard_normal((R, N))
+        bound = R * M * 16 + 2 * np.getbufsize() * 8 + 64 * 1024
+        assert traced_peak(_frames_fft, u, M) <= bound
+
+    def test_report_drops_the_centred_copy_before_the_triple_products(self):
+        # the frames and the triple products' two complex and one float (rc + 1, P)
+        # chunk buffers, not the centred copy too
+        ens = pg.Ensemble(np.random.default_rng(4).standard_normal((500, 60)))
+        P = len(pg.principal_domain(64))
+        chunks = (max(1, _CHUNK_POINTS // P) + 1) * P * (16 + 16 + 8)
+        assert traced_peak(pg.gaussianity_report, ens, 64) < 500 * 64 * 16 + chunks + 64 * 1024
 
 
 def random_frames(rng, R=32, M=64):
@@ -551,6 +588,19 @@ class TestExcessKurtosis:
         v[:, 2] = 5.0
         with pytest.raises(pg.DegenerateDataError):
             pg.excess_kurtosis(pg.Ensemble(v))
+
+    def test_report_rejects_degenerate_index_before_triple_products(self, monkeypatch):
+        from polygauss import gaussianity
+
+        v = np.random.default_rng(1).standard_normal((64, 60))
+        v[:, 2] = 5.0
+        calls = []
+        principal_triples = gaussianity._principal_triples
+        monkeypatch.setattr(gaussianity, "_principal_triples",
+                            lambda *a: calls.append(a) or principal_triples(*a))
+        with pytest.raises(pg.DegenerateDataError, match="zero variance"):
+            pg.gaussianity_report(pg.Ensemble(v))
+        assert calls == []
 
 
 class TestHistogram:
