@@ -38,7 +38,6 @@ _EXPORTS = {
         "excess_kurtosis",
         "gaussianity_report",
         "histogram",
-        "principal_domain",
         "segment_record",
     ),
     "noise": (

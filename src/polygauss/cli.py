@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .csvio import read_table_csv, write_bicoherence_csv, write_histogram_csv, write_sequence_csv
+from .csvio import read_table_csv, write_json, write_report_tables, write_sequence_csv
 from .errors import ConfigError, PolygaussError
 from .ortho import SampleGrid, build_basis, projection_operator, select_order, transform
 
@@ -83,8 +83,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_test(args) -> int:
-    import json
-
     from .gaussianity import (
         REFERENCE_BINS,
         REFERENCE_FFT_LEN,
@@ -110,7 +108,7 @@ def cmd_test(args) -> int:
         ens = data
     report = gaussianity_report(ens, fft_len=fft_len, bins=bins)
     os.makedirs(args.out_dir, exist_ok=True)
-    doc = {
+    write_json(os.path.join(args.out_dir, "report.json"), {
         "S": report.statistic,
         "dof": report.dof,
         "pfa": report.pfa,
@@ -118,12 +116,8 @@ def cmd_test(args) -> int:
         "M": report.fft_len,
         "K": report.frames,
         "R": report.replications,
-    }
-    with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_histogram_csv(os.path.join(args.out_dir, "histogram.csv"), report.histogram)
-    write_bicoherence_csv(os.path.join(args.out_dir, "bicoherence.csv"), report.bicoherence)
+    })
+    write_report_tables(os.path.join(args.out_dir, ""), report)
     print(f"S={report.statistic:.6g} dof={report.dof} "
           f"PFA={report.pfa:.6g} kurtosis={report.avg_kurtosis:.6g}")
     return 0
@@ -151,7 +145,7 @@ def cmd_simulate(args) -> int:
     emit_report(result, args.out_dir)
     print(f"{'family':>10} {'J':>3} {'pfa_in':>10} {'K_in':>9} {'pfa_out':>10} {'K_out':>9}")
     for fam in result.families:
-        print(f"{fam.family:>10} {fam.selection.chosen:>3} "
+        print(f"{fam.family:>10} {result.selection.chosen:>3} "
               f"{fam.input_report.pfa:>10.4f} {fam.input_report.avg_kurtosis:>9.4f} "
               f"{fam.output_report.pfa:>10.4f} {fam.output_report.avg_kurtosis:>9.4f}")
     return 0

@@ -1,9 +1,11 @@
-"""The CSV tables the command line reads and writes.
+"""The CSV tables and JSON documents the command line reads and writes.
 
 A sequence table has the header ``index,time,value``, an ensemble table
-``rep,index,value``; reports add histogram (``bin_left,bin_right,count``) and
-bicoherence (``j,k,bicoherence_sq``) tables. Floats are written with ``repr``,
-so a written sequence reads back bit for bit.
+``rep,index,value``; each report adds a histogram (``bin_left,bin_right,count``)
+and a bicoherence (``j,k,bicoherence_sq``) table. Floats are written with
+``repr``, so a written sequence reads back bit for bit. ``summary.json`` and
+``report.json`` go through one writer: two-space indent, sorted keys and a
+final newline.
 
 The header is read from an open ASCII handle. A clean body is parsed by one
 call of ``np.loadtxt`` on the path, which opens the file again and runs numpy's
@@ -107,12 +109,21 @@ def write_sequence_csv(path: str, seq: Sequence) -> None:
         f"{i},{_fmt(t)},{_fmt(v)}" for i, (t, v) in enumerate(zip(seq.grid.points, seq.values))))
 
 
-def write_histogram_csv(path: str, hist) -> None:
-    edges = hist.edges
-    _write_csv(path, "bin_left,bin_right,count", (
-        f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{int(c)}" for i, c in enumerate(hist.counts)))
-
-
-def write_bicoherence_csv(path: str, bicoh) -> None:
-    _write_csv(path, "j,k,bicoherence_sq", (
+def write_report_tables(prefix: str, report) -> list[str]:
+    """Write a report's ``<prefix>histogram.csv`` and ``<prefix>bicoherence.csv``; returns both."""
+    hist, bicoh = report.histogram, report.bicoherence
+    paths = [prefix + "histogram.csv", prefix + "bicoherence.csv"]
+    _write_csv(paths[0], "bin_left,bin_right,count", (
+        f"{_fmt(lo)},{_fmt(hi)},{int(c)}"
+        for lo, hi, c in zip(hist.edges, hist.edges[1:], hist.counts)))
+    _write_csv(paths[1], "j,k,bicoherence_sq", (
         f"{j},{k},{_fmt(val)}" for (j, k), val in zip(bicoh.points, bicoh.values)))
+    return paths
+
+
+def write_json(path: str, doc) -> None:
+    """Write ``doc`` as JSON with a two-space indent, sorted keys and a final newline."""
+    import json  # loaded by the commands that write a document; transform writes none
+    with open(path, "w", newline="") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -8,12 +8,11 @@ Everything is a pure function of the configuration, so identical configs give
 byte-identical reports.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
-from .csvio import write_bicoherence_csv, write_histogram_csv
+from .csvio import write_json, write_report_tables
 from .errors import ConfigError, DegenerateDataError, PolygaussError
 from .gaussianity import (
     REFERENCE_BINS,
@@ -83,7 +82,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class FamilyResult:
     family: str
-    selection: OrderSelection
     input_report: GaussianityReport
     output_report: GaussianityReport
 
@@ -91,7 +89,8 @@ class FamilyResult:
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    families: tuple = field(default_factory=tuple)  # FamilyResult in request order
+    selection: OrderSelection  # the study's one order choice, shared by every family
+    families: tuple  # FamilyResult in request order
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -122,21 +121,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             out = gaussianity_report(Ensemble(E), config.fft_len, config.bins)
         except PolygaussError as exc:
             raise type(exc)(f"family {family!r}: {exc}") from exc
-        results.append(FamilyResult(family=family, selection=selection,
-                                    input_report=inp, output_report=out))
-    return ExperimentResult(config=config, families=tuple(results))
+        results.append(FamilyResult(family=family, input_report=inp, output_report=out))
+    return ExperimentResult(config=config, selection=selection, families=tuple(results))
 
 
 def emit_report(result: ExperimentResult, out_dir: str) -> list[str]:
     """Write the JSON summary plus per-family figure-data CSVs; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    summary_path = os.path.join(out_dir, "summary.json")
+    written = [summary_path]
     summary = []
     for fam in result.families:
         summary.append({
             "family": fam.family,
-            "J": fam.selection.chosen,
-            "risk_curve": [[j, r] for j, r in fam.selection.risk_curve],
+            "J": result.selection.chosen,
+            "risk_curve": [[j, r] for j, r in result.selection.risk_curve],
             "pfa_input": fam.input_report.pfa,
             "pfa_output": fam.output_report.pfa,
             "kurt_input": fam.input_report.avg_kurtosis,
@@ -149,18 +148,7 @@ def emit_report(result: ExperimentResult, out_dir: str) -> list[str]:
             "seed": result.config.seed,
         })
         base = os.path.join(out_dir, fam.family)
-        pairs = [
-            (base + "_input_histogram.csv", fam.input_report.histogram, write_histogram_csv),
-            (base + "_output_histogram.csv", fam.output_report.histogram, write_histogram_csv),
-            (base + "_input_bicoherence.csv", fam.input_report.bicoherence, write_bicoherence_csv),
-            (base + "_output_bicoherence.csv", fam.output_report.bicoherence, write_bicoherence_csv),
-        ]
-        for path, payload, writer in pairs:
-            writer(path, payload)
-            written.append(path)
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", newline="") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.insert(0, summary_path)
+        written += write_report_tables(base + "_input_", fam.input_report)
+        written += write_report_tables(base + "_output_", fam.output_report)
+    write_json(summary_path, summary)
     return written

@@ -9,14 +9,15 @@ into one zero-padded (R, M) complex buffer that is transformed in place.  An
 ensemble whose centred values have an rms below 4 eps sqrt(R) at unit scale is
 degenerate: every record is constant, or a constant plus one shape shared by
 all records, and nothing but rounding residue is left to test.  The average
-excess kurtosis, the centred copy's last reader, comes next, and the copy is
-dropped.  Frame-averaged triple products at the principal bifrequency domain
-(the only bispectrum points the test reads), formed one chunk of frames at a
-time in about 256 KB and never over the whole (frames, j, k) grid, give the
-squared bicoherence and a chi-squared statistic whose survival probability
-(PFA) is high when Gaussianity cannot be rejected.  The histogram reads the
-data in their units.  The report is the one route to the statistic, its
-degrees of freedom and the PFA.
+excess kurtosis, the centred copy's last reader, comes next; it squares the
+copy in place, and the copy is dropped.  Frame-averaged triple products at the
+principal bifrequency domain (the only bispectrum points the test reads),
+formed one chunk of frames at a time in about 256 KB and never over the whole
+(frames, j, k) grid, give the squared bicoherence and a chi-squared statistic
+whose survival probability (PFA) is high when Gaussianity cannot be rejected.
+The frames are then dropped, and the histogram reads the data in their units.
+The report is the one route to the statistic, its degrees of freedom and the
+PFA.
 
 Each bifrequency point is normalized by the empirical variance of its triple
 products across frames rather than by the raw power-spectrum product.  The two
@@ -96,12 +97,6 @@ def _principal_index(M):
     j = np.repeat(rows, widths)
     starts = np.cumsum(widths) - widths
     return j, np.arange(j.size) - np.repeat(starts, widths) + 1
-
-
-def principal_domain(fft_len: int) -> list[tuple[int, int]]:
-    """Non-redundant bifrequency pairs: 1 <= k <= j, j + k <= M/2 - 1."""
-    j, k = _principal_index(fft_len)
-    return list(zip(j.tolist(), k.tolist()))
 
 
 @dataclass(frozen=True)
@@ -340,8 +335,9 @@ def excess_kurtosis(ensemble: Ensemble) -> float:
 
 
 def _kurtosis(u: np.ndarray) -> float:
-    # excess_kurtosis of index-centred values at unit scale
-    u2 = np.square(u)  # squared, then squared in place: u**4 would go through libm pow
+    # excess_kurtosis of index-centred values at unit scale; u is consumed, squared
+    # in place and then squared again: u**4 would go through libm pow
+    u2 = np.square(u, out=u)
     m2 = np.mean(u2, axis=0)
     if np.any(m2 == 0):
         raise DegenerateDataError("an index has zero variance across replications")
@@ -402,11 +398,12 @@ def gaussianity_report(
     if math.sqrt(ms) < 4 * _EPS * math.sqrt(R):
         raise DegenerateDataError("every record is constant, or a constant plus one shape "
                                   "shared by all records: only rounding residue is left")
-    # the kurtosis is the centred copy's last reader: it goes before the triple
-    # products' chunk buffers are allocated, and the copy is dropped
+    # the kurtosis is the centred copy's last reader: it squares the copy in place
+    # before the triple products' chunk buffers are allocated, and the copy is dropped
     kurt = _kurtosis(u)
     del u
     s3, msq = _principal_triples(X)
+    del X  # the triple products are the frames' last reader; the histogram runs without them
     bicoh, stat, dof = _bicoherence(fft_len, R, s3, msq, power)
     hist = histogram(ensemble.values, bins)
     return GaussianityReport(

@@ -159,12 +159,21 @@ def coefficients(basis: PolynomialBasis, X: np.ndarray) -> np.ndarray:
     return (X @ basis.values.T) / basis.norms
 
 
+def _finite(a: np.ndarray, what: str, cause: str) -> np.ndarray:
+    """``a``, formed with overflow warnings off; an inf or nan in it is degenerate data."""
+    if not np.all(np.isfinite(a)):
+        raise DegenerateDataError(f"{what} overflows float64: {cause}")
+    return a
+
+
 def transform(op: ProjectionOperator, x: Sequence) -> Sequence:
     """Project ``x`` onto the polynomial subspace via the O(NJ) coefficient route."""
     # equal counts are not enough: the fit reads the basis at its own abscissas
     if not np.array_equal(x.grid.points, op.basis.grid.points):
         raise DimensionError("sequence grid does not match operator grid")
-    return Sequence(coefficients(op.basis, x.values) @ op.basis.values, x.grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = coefficients(op.basis, x.values) @ op.basis.values
+    return Sequence(_finite(fit, "the fit", "the record is too large"), x.grid)
 
 
 def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarray:
@@ -182,8 +191,10 @@ def error_covariance(op: ProjectionOperator, noise_cov: np.ndarray) -> np.ndarra
     if asymmetry > 1e-9 * np.max(np.abs(S)):
         raise InvalidCovarianceError("noise covariance is not symmetric")
     H = op.xi
-    out = H @ S @ H.T
-    return 0.5 * (out + out.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = H @ S @ H.T
+        out = 0.5 * (out + out.T)
+    return _finite(out, "the error covariance", "the noise covariance is too large")
 
 
 @dataclass(frozen=True)
@@ -261,9 +272,7 @@ def select_order(
         Js = np.array(orders)
         risks = work.sum(axis=1)[Js - 1] / N + penalty * Js
     del work  # freed before the chosen rows are copied: the peak stays at two (K, N) arrays
-    if not np.all(np.isfinite(risks)):
-        raise DegenerateDataError("the risk curve overflows float64: "
-                                  "the record or the noise variance is too large")
+    _finite(risks, "the risk curve", "the record or the noise variance is too large")
     # argmin takes the first minimum, so ties break toward the smaller order
     chosen = orders[int(np.argmin(risks))]
     return OrderSelection(chosen, tuple(zip(orders, risks.tolist())),

@@ -14,12 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import polygauss as pg
 from conftest import src_env
 from polygauss.cli import main
-from polygauss.csvio import (
-    read_table_csv,
-    write_bicoherence_csv,
-    write_histogram_csv,
-    write_sequence_csv,
-)
+from polygauss.csvio import read_table_csv, write_report_tables, write_sequence_csv
 
 
 def run(*argv):
@@ -236,6 +231,17 @@ class TestTransform:
         assert "RuntimeWarning" not in proc.stderr and "selected order" not in proc.stdout
         assert not out.exists()
 
+    def test_overflowing_fit_exits_degenerate(self, tmp_path):
+        # a finite record near float64's maximum whose order-3 coefficients overflow
+        grid = pg.SampleGrid.uniform(240, 0.0375)
+        src, out = tmp_path / "big.csv", tmp_path / "out.csv"
+        write_sequence_csv(str(src), pg.Sequence(1.5e307 + 1e307 * np.sin(grid.points), grid))
+        proc = run_process("transform", "--in", str(src), "--order", "3", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: the fit overflows float64")
+        assert proc.stderr.count("\n") == 1 and "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     def test_roundtrip_value_identical(self, tmp_path):
         vals = np.random.default_rng(2).standard_normal(10)
         grid = pg.SampleGrid.uniform(10, 0.15)
@@ -317,10 +323,17 @@ class TestTestCommand:
                "M": rep.fft_len, "K": rep.frames, "R": rep.replications}
         assert (out_dir / "report.json").read_text() == json.dumps(doc, indent=2,
                                                                    sort_keys=True) + "\n"
-        write_histogram_csv(str(tmp_path / "histogram.csv"), rep.histogram)
-        write_bicoherence_csv(str(tmp_path / "bicoherence.csv"), rep.bicoherence)
+        write_report_tables(os.path.join(tmp_path, ""), rep)
         for name in ("histogram.csv", "bicoherence.csv"):
             assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_report_tables_returns_both_paths(self, tmp_path):
+        rep = pg.gaussianity_report(pg.Ensemble(np.random.default_rng(6).standard_normal((8, 8))),
+                                    fft_len=8)
+        prefix = os.path.join(tmp_path, "x_")
+        assert write_report_tables(prefix, rep) == [prefix + "histogram.csv",
+                                                    prefix + "bicoherence.csv"]
+        assert (tmp_path / "x_histogram.csv").exists() and (tmp_path / "x_bicoherence.csv").exists()
 
     def test_overflowing_ensemble_degenerate(self, tmp_path, capsys):
         # finite values whose max - min is past the largest float64

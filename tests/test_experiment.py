@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -60,7 +61,7 @@ class TestRunExperiment:
         fam_seed = pg.experiment._family_seed(cfg.seed, "laplacian")
         W = np.array([pg.draw_noise(pg.NoiseSpec("laplacian"), 60, fam_seed, r)
                       for r in range(400)]) * np.sqrt(sigma2)
-        basis = pg.build_basis(grid, res.families[0].selection.chosen)
+        basis = pg.build_basis(grid, res.selection.chosen)
         E = (W + g.values) @ basis.values.T / basis.norms @ basis.values - g.values
         assert np.mean(np.var(E, axis=0)) < sigma2
 
@@ -70,7 +71,7 @@ class TestRunExperiment:
         grid = cfg.grid
         g = pg.synth_signal(cfg.signal, grid)
         sigma2 = pg.noise_sigma(g, cfg.snr_db) ** 2
-        J = res.families[0].selection.chosen
+        J = res.selection.chosen
         op = pg.projection_operator(pg.build_basis(grid, J))
         expected_bias = op.xi @ g.values - g.values
         fam_seed = pg.experiment._family_seed(cfg.seed, "gaussian")
@@ -79,6 +80,16 @@ class TestRunExperiment:
         E = (W + g.values) @ op.basis.values.T / op.basis.norms @ op.basis.values - g.values
         se = np.sqrt(sigma2 * np.diag(op.xi) / 2000)
         assert np.all(np.abs(E.mean(axis=0) - expected_bias) <= 5 * se)
+
+    def test_one_order_selection_per_study(self):
+        cfg = small_config(reps=16, families=("gaussian", "gamma"))
+        g = pg.synth_signal(cfg.signal, cfg.grid)
+        ref = pg.select_order(cfg.grid, "oracle", pg.experiment.ORDER_RANGE, signal=g,
+                              noise_var=pg.noise_sigma(g, cfg.snr_db) ** 2)
+        sel = pg.run_experiment(cfg).selection
+        assert (sel.chosen, sel.risk_curve) == (ref.chosen, ref.risk_curve)
+        fields = tuple(f.name for f in dataclasses.fields(pg.FamilyResult))
+        assert fields == ("family", "input_report", "output_report")
 
     def test_gaussianization_ordering(self):
         res = pg.run_experiment(pg.ExperimentConfig.reference(
@@ -202,7 +213,7 @@ class TestEmitReport:
         ]
 
     def test_empty_result_summary_only(self, tmp_path):
-        res = pg.ExperimentResult(config=small_config(), families=())
+        res = dataclasses.replace(pg.run_experiment(small_config()), families=())
         files = pg.emit_report(res, str(tmp_path))
         assert [os.path.basename(f) for f in files] == ["summary.json"]
 

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 import polygauss as pg
 from conftest import src_env
 from polygauss.gaussianity import (_CHUNK_POINTS, EPS_FLOOR, _bicoherence, _frames_fft,
-                                   _power, _principal_triples)
+                                   _power, _principal_index, _principal_triples)
 
 
 def triad_ensemble(rng, reps=64, n=60, fft_len=64, j1=5, j2=3):
@@ -58,7 +58,7 @@ class TestBispectrum:
     def test_coupled_triad_peaks_at_pair(self):
         ens = triad_ensemble(np.random.default_rng(6), reps=256)
         mags = np.abs(ensemble_triples(ens, 64)[0])
-        assert pg.principal_domain(64)[int(np.argmax(mags))] == (5, 3)
+        assert list(zip(*_principal_index(64)))[int(np.argmax(mags))] == (5, 3)
 
     def test_config_errors(self):
         ens = pg.Ensemble(np.zeros((16, 16)))
@@ -135,9 +135,17 @@ class TestReportMemory:
         # the frames and the triple products' two complex and one float (rc + 1, P)
         # chunk buffers, not the centred copy too
         ens = pg.Ensemble(np.random.default_rng(4).standard_normal((500, 60)))
-        P = len(pg.principal_domain(64))
+        P = _principal_index(64)[0].size
         chunks = (max(1, _CHUNK_POINTS // P) + 1) * P * (16 + 16 + 8)
         assert traced_peak(pg.gaussianity_report, ens, 64) < 500 * 64 * 16 + chunks + 64 * 1024
+
+    def test_report_squares_in_place_and_frees_the_frames(self):
+        # the power spectrum's step holds the centred copy, the frames and |X|^2; the
+        # kurtosis squares the copy in place, and the histogram runs after the frames go
+        R, N, M = 1000, 100, 128
+        ens = pg.Ensemble(np.random.default_rng(4).standard_normal((R, N)))
+        bound = R * M * 16 + R * (M // 2 + 1) * 8 + R * N * 8 + 256 * 1024
+        assert traced_peak(pg.gaussianity_report, ens, M) <= bound
 
 
 def random_frames(rng, R=32, M=64):
@@ -147,7 +155,7 @@ def random_frames(rng, R=32, M=64):
 def chunked_frames(half, full_chunks, last):
     # frame count that fills full_chunks of _principal_triples' frame chunks at
     # M = 2 * half and leaves `last` frames for one more chunk
-    rc = max(1, _CHUNK_POINTS // len(pg.principal_domain(2 * half)))
+    rc = max(1, _CHUNK_POINTS // _principal_index(2 * half)[0].size)
     return full_chunks * rc + last
 
 
@@ -161,7 +169,7 @@ class TestPrincipalTriples:
              + np.cos(2 * np.pi * 5 * n / M))
         X = np.fft.fft(x[None, :], axis=1)
         s3, msq = _principal_triples(X)
-        at = pg.principal_domain(M).index((3, 2))
+        at = list(zip(*_principal_index(M))).index((3, 2))
         assert s3[at] == pytest.approx((M / 2) ** 3, abs=1e-6)
         assert np.abs(np.delete(s3, at)).max() < 1e-9
         npt.assert_allclose(msq[at], abs(s3[at]) ** 2, rtol=1e-12)
@@ -170,7 +178,7 @@ class TestPrincipalTriples:
         rng = np.random.default_rng(2)
         X = random_frames(rng, R=5, M=16)
         s3, msq = _principal_triples(X)
-        j, k = np.array(pg.principal_domain(16)).T
+        j, k = _principal_index(16)
         T = X[:, j] * X[:, k] * np.conj(X[:, j + k])
         npt.assert_allclose(s3, T.mean(axis=0), rtol=1e-12)
         npt.assert_allclose(msq, (np.abs(T) ** 2).mean(axis=0), rtol=1e-12)
@@ -188,7 +196,7 @@ class TestPrincipalTriples:
         X = random_frames(np.random.default_rng(seed), R=R, M=M)
         s3, msq = _principal_triples(X)
         grid_s3, grid_msq = sequential_triple_grid(X, half + 1)
-        j, k = np.array(pg.principal_domain(M)).T
+        j, k = _principal_index(M)
         assert np.array_equal(s3, grid_s3[j, k])
         assert np.array_equal(msq, grid_msq[j, k])
 
@@ -257,7 +265,8 @@ def loop_bicoherence(fft_len, K, s3_grid, msq_grid, power):
     floor = EPS_FLOOR * power.max() ** 3
     kept, vals, norms = [], [], []
     excluded = 0
-    for j, k in pg.principal_domain(fft_len):
+    js, ks = _principal_index(fft_len)
+    for j, k in zip(js.tolist(), ks.tolist()):
         den = power[j] * power[k] * power[j + k]
         s3 = s3_grid[j, k]
         var = (msq_grid[j, k] - abs(s3) * abs(s3)) * K / (K - 1)
@@ -285,7 +294,8 @@ class TestPrincipalDomainReport:
         for M in range(0, 260):
             half = M // 2
             ref = [(j, k) for j in range(1, half) for k in range(1, j + 1) if j + k <= half - 1]
-            got = pg.principal_domain(M)
+            j, k = _principal_index(M)
+            got = list(zip(j.tolist(), k.tolist()))
             assert got == ref
             assert all(type(j) is int and type(k) is int for j, k in got)
 
@@ -396,7 +406,7 @@ class TestHinich:
         ph = np.random.default_rng(22).uniform(0, 2 * np.pi, 32)[:, None]
         rep = pg.gaussianity_report(pg.Ensemble(np.cos(2 * np.pi * 5 * n / 64 + ph)), 64)
         assert rep.bicoherence.points == ()
-        assert rep.bicoherence.excluded == len(pg.principal_domain(64))
+        assert rep.bicoherence.excluded == _principal_index(64)[0].size
         assert (rep.statistic, rep.dof, rep.pfa) == (0.0, 480, 1.0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3])
@@ -499,7 +509,7 @@ class TestChi2Survival:
 
         worst = 0.0
         for p in range(3, 11):
-            dof = 2 * len(pg.principal_domain(2**p))
+            dof = 2 * _principal_index(2**p)[0].size
             for x in (dof + np.arange(-8.0, 40.25, 0.25) * math.sqrt(2.0 * dof)).tolist():
                 ref = float(gammaincc(dof / 2, x / 2))
                 if x >= 0 and ref > 1e-300:

@@ -60,6 +60,17 @@ def test_transform_loads_no_study_layer(tmp_path, order):
     assert not loaded & STUDY_LAYERS
 
 
+@pytest.mark.parametrize("order", [["--order", "auto", "--sigma2", "0.01"], ["--order", "3"]])
+def test_transform_loads_no_json(tmp_path, order):
+    # the JSON writer imports json when it is called; transform writes no document
+    src = tmp_path / "in.csv"
+    src.write_text("index,time,value\n" + "".join(f"{i},{0.1 * i!r},{float(i % 3)!r}\n"
+                                                   for i in range(40)))
+    argv = ["transform", "--in", str(src), *order, "--out", str(tmp_path / "out.csv")]
+    code = f"import sys\nfrom polygauss.cli import main\nassert main({argv!r}) == 0\n"
+    assert fresh(code + "print('json' in sys.modules)").splitlines()[-1] == "False"
+
+
 def test_test_command_loads_no_study_layer(tmp_path):
     src = tmp_path / "ens.csv"
     rows = np.random.default_rng(3).standard_normal((16, 30)).tolist()

@@ -191,6 +191,14 @@ class TestTransform:
         y = pg.transform(op, pg.Sequence(np.array([0.0, 1.0, 2.0]), GRID3))
         npt.assert_allclose(y.values, [0, 1, 2], atol=1e-13)
 
+    def test_overflowing_fit_raises(self):
+        # finite values whose coefficients overflow; no RuntimeWarning comes first
+        grid = pg.SampleGrid.uniform(240, 0.0375)
+        op = pg.projection_operator(pg.build_basis(grid, 3))
+        x = pg.Sequence(1.5e307 + 1e307 * np.sin(grid.points), grid)
+        with pytest.raises(pg.DegenerateDataError, match="fit overflows"):
+            pg.transform(op, x)
+
     def test_full_order_identity(self):
         grid = pg.SampleGrid.uniform(20, 0.1)
         op = pg.projection_operator(pg.build_basis(grid, 20))
@@ -324,6 +332,12 @@ class TestErrorCovariance:
         op = pg.projection_operator(pg.build_basis(GRID3, 2))
         with pytest.raises(pg.InvalidCovarianceError):
             pg.error_covariance(op, np.full((3, 3), bad))
+
+    def test_overflowing_covariance_raises(self):
+        # finite and symmetric, but H S H^T overflows float64; no RuntimeWarning comes first
+        op = pg.projection_operator(pg.build_basis(pg.SampleGrid.uniform(60, 0.15), 3))
+        with pytest.raises(pg.DegenerateDataError, match="error covariance overflows"):
+            pg.error_covariance(op, np.full((60, 60), 1.7e308))
 
     def test_asymmetric_rejected(self):
         op = pg.projection_operator(pg.build_basis(GRID3, 2))
