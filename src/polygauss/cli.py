@@ -14,7 +14,8 @@ import sys
 
 from .csvio import read_table_csv, write_json, write_report_tables, write_sequence_csv
 from .errors import ConfigError, PolygaussError
-from .ortho import SampleGrid, build_basis, projection_operator, select_order, transform
+from .ortho import (SampleGrid, _check_noise_var, build_basis, projection_operator,
+                    select_order, transform)
 
 EXIT_CONFIG = 1
 EXIT_DEGENERATE = 2
@@ -59,11 +60,15 @@ def cmd_transform(args) -> int:
     auto = args.order == "auto"  # both flags are checked before the table is read
     if auto != (args.sigma2 is not None):
         raise ConfigError("--sigma2 is required with --order auto and not allowed without it")
-    if not auto:
+    if auto:
+        _check_noise_var(args.sigma2)
+    else:
         try:
             order = int(args.order)
         except ValueError:
             raise ConfigError(f"--order must be an integer or 'auto', got {args.order!r}") from None
+        if order < 1:  # an order above N is known only once the record is read
+            raise ConfigError(f"--order must be at least 1, got {order}")
     kind, seq = read_table_csv(args.infile)
     if kind != "sequence":
         raise ConfigError("transform expects a sequence CSV")

@@ -57,30 +57,24 @@ _CHUNK_POINTS = 16384
 
 @dataclass(frozen=True)
 class Ensemble:
-    """R independent realizations of a length-N real process."""
+    """R realizations of a length-N real process: a 2-D (R, N) table, one record per row."""
 
     values: np.ndarray  # (R, N)
 
     def __post_init__(self):
-        vals = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
+        vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 2 or 0 in vals.shape:  # no records, or records of no samples
             raise ConfigError("ensemble must be a non-empty R x N table")
         if not np.all(np.isfinite(vals)):
             raise ConfigError("ensemble values must be finite")
 
-    @property
-    def replications(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def record_length(self) -> int:
-        return self.values.shape[1]
-
 
 def segment_record(values: np.ndarray, frame_len: int) -> Ensemble:
-    """Split one long record into contiguous frames (single-record test mode)."""
-    v = np.asarray(values, dtype=np.float64).ravel()
+    """Split one 1-D record into contiguous frames, an ensemble's rows (single-record test mode)."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ConfigError(f"a record is 1-D, got an array of shape {v.shape}")
     if frame_len < 2:
         raise ConfigError("frame length must be at least 2")
     K = v.size // frame_len
@@ -240,12 +234,12 @@ def _bicoherence(fft_len, K, s3, msq, power) -> tuple[BicoherenceGrid, float, in
 
 
 def chi2_survival(x: float, dof: int) -> float:
-    """Upper-tail probability of a central chi-squared variable."""
-    if dof <= 0:
-        raise ConfigError("degrees of freedom must be positive")
+    """Upper-tail probability of a central chi-squared variable with 0 < dof < inf."""
+    if not 0 < dof < math.inf:
+        raise ConfigError("degrees of freedom must be positive and finite")
     if x < 0 or not math.isfinite(x):
         raise ConfigError("statistic must be finite and non-negative")
-    if x == 0:
+    if x / 2.0 == 0:
         return 1.0
     return _gamma_q(dof / 2.0, x / 2.0)
 
@@ -322,15 +316,11 @@ def _unit_scaled(values: np.ndarray) -> np.ndarray:
 def excess_kurtosis(ensemble: Ensemble) -> float:
     """Per-index excess kurtosis across replications, averaged over indices.
 
-    With a single record the kurtosis is taken across time instead (input-noise
-    spot checks).
+    A record ``w``'s kurtosis across time is that of its (N, 1) ensemble ``w[:, None]``.
     """
-    v = ensemble.values
-    if v.shape[0] == 1:  # a single record's samples are the replications of one index
-        v = v.T
-    if v.shape[0] < 4:
+    if ensemble.values.shape[0] < 4:
         raise DegenerateDataError("kurtosis needs at least 4 replications of each index")
-    u = _unit_scaled(v)
+    u = _unit_scaled(ensemble.values)
     return _kurtosis(u - u.mean(axis=0, keepdims=True))
 
 
@@ -381,8 +371,8 @@ def gaussianity_report(
     bins: int = REFERENCE_BINS,
 ) -> GaussianityReport:
     """Run the full battery (bicoherence test, kurtosis, histogram) on an ensemble."""
-    R = ensemble.replications
-    _check_setup(R, ensemble.record_length, fft_len, bins)
+    R, N = ensemble.values.shape
+    _check_setup(R, N, fft_len, bins)
     # every statistic but the histogram, whose edges are in data units, reads the
     # rescaled copy, so it keeps its bits when the data are scaled by a power of two
     u = _unit_scaled(ensemble.values)
@@ -394,7 +384,7 @@ def gaussianity_report(
     # the centred rms at unit scale, by Parseval (real frames hold bins 1..M/2-1 twice):
     # rounding residue reads at most about 0.13 eps sqrt(R), Gaussian data on an
     # offset of 2**20 about 2e9 eps, so below 4 eps sqrt(R) nothing else is left
-    ms = (power[0] + 2.0 * power[1:-1].sum() + power[-1]) / (fft_len * ensemble.record_length)
+    ms = (power[0] + 2.0 * power[1:-1].sum() + power[-1]) / (fft_len * N)
     if math.sqrt(ms) < 4 * _EPS * math.sqrt(R):
         raise DegenerateDataError("every record is constant, or a constant plus one shape "
                                   "shared by all records: only rounding residue is left")

@@ -206,11 +206,11 @@ def draw_noise_ensemble(spec: NoiseSpec, replications: int, n: int, seed: int) -
 
 
 def noise_sigma(signal: Sequence, snr_db: float) -> float:
-    """Noise standard deviation implied by the signal power and target SNR.
+    """Noise standard deviation implied by the signal power and target SNR, 0 < sigma < inf.
 
     The power is formed in data units, as the oracle risk of the order selection
     is, so a nonzero signal whose power underflows to 0 or overflows float64 is
-    rejected as degenerate data.
+    rejected as degenerate data, and so is an SNR whose sigma is 0, inf or nan.
     """
     if not np.any(signal.values):
         raise UndefinedSnrError("SNR undefined for an all-zero signal")
@@ -221,6 +221,9 @@ def noise_sigma(signal: Sequence, snr_db: float) -> float:
     if power == math.inf:
         raise DegenerateDataError("signal power overflows float64: the signal is too large")
     try:
-        return math.sqrt(power * 10.0 ** (-snr_db / 10.0))
+        sigma = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
     except OverflowError:  # 10 ** 309 and up: no finite noise reaches so low an SNR
-        return math.inf
+        sigma = math.inf
+    if not 0 < sigma < math.inf:
+        raise DegenerateDataError("noise variance implied by the SNR is zero or non-finite")
+    return sigma

@@ -204,6 +204,11 @@ class OrderSelection:
     basis: PolynomialBasis = field(repr=False, compare=False)  # the order-``chosen`` basis
 
 
+def _check_noise_var(noise_var: float | None) -> None:
+    if noise_var is None or not 0 <= noise_var < np.inf:
+        raise ConfigError("oracle/penalized modes need a finite noise_var >= 0")
+
+
 def select_order(
     grid: SampleGrid,
     mode: str,
@@ -234,8 +239,7 @@ def select_order(
     N = grid.count
     if mode not in ("oracle", "penalized"):
         raise ConfigError(f"unknown order-selection mode {mode!r}")
-    if noise_var is None or not 0 <= noise_var < np.inf:
-        raise ConfigError("oracle/penalized modes need a finite noise_var >= 0")
+    _check_noise_var(noise_var)
     orders = list(j_range) if j_range is not None else list(range(1, N + 1))
     if not orders:
         raise ConfigError("empty order range")

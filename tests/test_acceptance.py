@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -115,7 +116,7 @@ class TestAcceptance:
         measured, ok = {}, True
         for i, (family, (target, tol)) in enumerate(targets.items()):
             w = pg.draw_noise(pg.NoiseSpec(family), 4 * 10**6, 2024, i)
-            k = pg.excess_kurtosis(pg.Ensemble(w[None, :]))
+            k = pg.excess_kurtosis(pg.Ensemble(w[:, None]))
             measured[family] = k
             ok = ok and abs(k - target) <= tol
         elapsed = time.perf_counter() - t0
@@ -192,8 +193,7 @@ class TestAcceptance:
             assert r.returncode == 0, r.stderr
         names = sorted(os.listdir(dirs[0]))
         same = all(
-            open(os.path.join(dirs[0], f), "rb").read()
-            == open(os.path.join(d, f), "rb").read()
+            Path(dirs[0], f).read_bytes() == Path(d, f).read_bytes()
             for d in dirs[1:] for f in names)
         ok = same and len(names) == 17
         report("byte-identical simulation reports", ok,

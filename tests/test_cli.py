@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -159,6 +160,17 @@ class TestTransform:
         out = tmp_path / "out.csv"
         assert run("transform", "--in", str(tmp_path / "missing.csv"), "--order", order,
                    "--out", str(out)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--order", "0"], ["--order", "-3"],
+                                       ["--order", "auto", "--sigma2", "nan"],
+                                       ["--order", "auto", "--sigma2", "-1"]])
+    def test_bad_order_or_sigma2_rejected_before_the_table_is_read(self, tmp_path, capsys, flags):
+        out = tmp_path / "out.csv"
+        assert run("transform", "--in", str(tmp_path / "missing.csv"), *flags,
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma2", ["nan", "inf"])
@@ -426,11 +438,12 @@ class TestMalformedCsv:
         "index,time,value\n0,0.0,1.0\n",                           # one-point grid
         "index,time,value\n0,1.0,1.0\n1,0.5,2.0\n",               # decreasing time
         "rep,index,value\n0,0,1.0\n0,1,inf\n",                     # non-finite value
+        "",                                                          # empty file
     ], ids=["duplicate", "negative", "non_numeric", "short_row", "no_rows", "short_sequence",
             "extra_field", "extra_sequence_field", "comment_char", "quoted_field",
             "non_integer_rep", "whitespace_body", "no_sequence_rows", "duplicate_index",
             "skipped_index", "unordered_index", "non_ascii_space", "one_row",
-            "decreasing_time", "inf_value"])
+            "decreasing_time", "inf_value", "empty_file"])
     def test_exit_config_without_traceback(self, tmp_path, capsys, recwarn, text):
         src = tmp_path / "bad.csv"
         src.write_text(text)
@@ -623,8 +636,7 @@ class TestSimulate:
         assert run("simulate", "--paper", "--reps", "64", "--seed", "1",
                    "--noise", "gaussian", "--out-dir", d2) == 0
         for name in sorted(os.listdir(d1)):
-            assert open(os.path.join(d1, name), "rb").read() == \
-                open(os.path.join(d2, name), "rb").read()
+            assert Path(d1, name).read_bytes() == Path(d2, name).read_bytes()
 
     def test_threads_flag_rejected(self, tmp_path, capsys):
         out_dir = tmp_path / "o"
@@ -717,9 +729,9 @@ class TestSimulate:
         assert "SNR" in err and "Traceback" not in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("snr_db", ["-3090", "-1e308"])
+    @pytest.mark.parametrize("snr_db", ["-3090", "-1e308", "-4000", "4000"])
     def test_overflowing_noise_level_degenerate(self, tmp_path, capsys, snr_db):
-        # 10 ** 309 and up overflows: no finite noise reaches the SNR
+        # 10 ** 309 and up overflows: no finite noise reaches the SNR; 10 ** -400 is zero noise
         out_dir = tmp_path / "o"
         assert run("simulate", "--paper", "--reps", "16", "--seed", "1",
                    f"--snr-db={snr_db}", "--out-dir", str(out_dir)) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -141,6 +142,7 @@ class TestRunExperiment:
         {"fft_len": 32},  # shorter than the 60-point reference records
         {"bins": 0},
         {"families": ("gaussian", "gamma", "gaussian")},  # one report per family
+        {"grid": pg.SampleGrid.uniform(2, 0.15)},  # fewer points than the highest order
     ])
     def test_setup_checked_at_construction(self, setup):
         with pytest.raises(pg.ConfigError):
@@ -223,7 +225,7 @@ class TestEmitReport:
         f1 = pg.emit_report(res, str(d1))
         f2 = pg.emit_report(res, str(d2))
         for a, b in zip(f1, f2):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_summary_schema(self, tmp_path):
         res = pg.run_experiment(small_config(reps=64))

@@ -478,6 +478,20 @@ class TestChi2Survival:
         with pytest.raises(pg.ConfigError):
             pg.chi2_survival(1.0, 0)
 
+    def test_non_finite_dof_and_underflowing_statistic(self):
+        # a nan dof that reached the series would never end its loop, so the calls run in
+        # a fresh interpreter whose timeout turns a hang into a failure
+        code = ("import math, polygauss as pg\n"
+                "for dof in (math.nan, math.inf):\n"
+                "    try:\n"
+                "        print(pg.chi2_survival(3.0, dof))\n"
+                "    except pg.ConfigError as exc:\n"
+                "        print(type(exc).__name__)\n"
+                "print(pg.chi2_survival(5e-324, 2))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                             text=True, check=True, timeout=20)
+        assert out.stdout.split() == ["ConfigError", "ConfigError", "1.0"]
+
     def test_import_leaves_scipy_special_unloaded(self):
         # scipy.special would be most of the package's import time; nothing at runtime needs it
         out = subprocess.run(
@@ -546,21 +560,20 @@ class TestExcessKurtosis:
         shifted = pg.excess_kurtosis(pg.Ensemble(-1.7 * v + 4.2))
         assert shifted == pytest.approx(base, abs=1e-9)
 
-    @pytest.mark.parametrize("shape", [(500, 60), (1, 1000)])
+    @pytest.mark.parametrize("shape", [(500, 60), (1000, 1)])
     def test_matches_fourth_power_formula(self, shape):
         # the estimator squares u**2 instead of raising u to the 4th; float64 rounding only
         v = np.random.default_rng(19).laplace(size=shape)
-        axis = 0 if shape[0] > 1 else None  # one record: kurtosis across time
-        u = v - v.mean(axis=axis, keepdims=True)
-        ref = np.mean(np.mean(u**4, axis=axis) / np.mean(u**2, axis=axis) ** 2 - 3.0)
+        u = v - v.mean(axis=0, keepdims=True)
+        ref = np.mean(np.mean(u**4, axis=0) / np.mean(u**2, axis=0) ** 2 - 3.0)
         assert pg.excess_kurtosis(pg.Ensemble(v)) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
     def test_single_record_fallback(self):
         rng = np.random.default_rng(18)
         w = rng.uniform(-math.sqrt(3), math.sqrt(3), 10**6)
-        assert pg.excess_kurtosis(pg.Ensemble(w[None, :])) == pytest.approx(-1.2, abs=0.05)
+        assert pg.excess_kurtosis(pg.Ensemble(w[:, None])) == pytest.approx(-1.2, abs=0.05)
 
-    @pytest.mark.parametrize("shape", [(500, 60), (1, 1000)])
+    @pytest.mark.parametrize("shape", [(500, 60), (1000, 1)])
     def test_extreme_magnitude_keeps_its_value(self, shape):
         # u**4 of data near 1e-100 underflows, and near 1e100 overflows, unless rescaled
         v = np.random.default_rng(20).laplace(size=shape)
@@ -589,9 +602,13 @@ class TestExcessKurtosis:
     def test_too_few_replications(self):
         with pytest.raises(pg.DegenerateDataError):
             pg.excess_kurtosis(pg.Ensemble(np.random.default_rng(0).standard_normal((3, 5))))
-        # a single record's samples are the replications of one index
+        # a record's samples, read as the replications of one index
         with pytest.raises(pg.DegenerateDataError):
-            pg.excess_kurtosis(pg.Ensemble(np.random.default_rng(0).standard_normal((1, 3))))
+            pg.excess_kurtosis(pg.Ensemble(np.random.default_rng(0).standard_normal((3, 1))))
+        # one record as a row is one replication of each index, not a record across time
+        w = np.random.default_rng(0).standard_normal(1000)
+        with pytest.raises(pg.DegenerateDataError, match="at least 4 replications"):
+            pg.excess_kurtosis(pg.Ensemble(w[None, :]))
 
     def test_degenerate_index(self):
         v = np.random.default_rng(1).standard_normal((10, 4))
@@ -618,6 +635,11 @@ class TestHistogram:
         h = pg.histogram([0.0, 0.5, 1.0], 2)
         npt.assert_array_equal(h.edges, [0.0, 0.5, 1.0])
         npt.assert_array_equal(h.counts, [2, 1])
+
+    @pytest.mark.parametrize("values", [[], np.zeros((4, 0))])
+    def test_no_values_rejected(self, values):
+        with pytest.raises(pg.ConfigError, match="at least one value"):
+            pg.histogram(values, 20)
 
     @pytest.mark.parametrize("bins", [2**63 - 1, 10**20, np.int64(2**63 - 1)])
     def test_bins_beyond_any_array_rejected(self, bins):
@@ -687,6 +709,12 @@ class TestEnsemble:
         with pytest.raises(pg.ConfigError, match="non-empty"):
             pg.Ensemble(values)
 
+    @pytest.mark.parametrize("values", [np.arange(5.0), np.zeros((2, 3, 4)), 1.0],
+                             ids=["1d", "3d", "scalar"])
+    def test_only_a_2d_table_accepted(self, values):
+        with pytest.raises(pg.ConfigError, match="non-empty R x N table"):
+            pg.Ensemble(values)
+
 
 class TestSegmentRecord:
     def test_splits_frames(self):
@@ -697,3 +725,13 @@ class TestSegmentRecord:
     def test_too_short(self):
         with pytest.raises(pg.ConfigError):
             pg.segment_record(np.arange(5.0), 16)
+
+    @pytest.mark.parametrize("values,frame_len,message", [
+        (np.zeros((3, 4)), 2, "a record is 1-D"),
+        (np.zeros((1, 8)), 2, "a record is 1-D"),
+        (5.0, 2, "a record is 1-D"),
+        (np.arange(8.0), 1, "at least 2"),
+    ], ids=["table", "one_row", "scalar", "frame_len_1"])
+    def test_malformed_rejected(self, values, frame_len, message):
+        with pytest.raises(pg.ConfigError, match=message):
+            pg.segment_record(values, frame_len)

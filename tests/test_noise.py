@@ -28,6 +28,14 @@ class TestSynthSignal:
         g = pg.synth_signal(pg.SignalSpec(((1.0, 0.0, 0.0, 0.0),)), grid)
         npt.assert_allclose(g.values, np.ones(8), atol=1e-15)
 
+    @pytest.mark.parametrize("component,message", [
+        ((1.0, 0.0, 2.0), "each component is"),
+        ((1.0, np.nan, 2.0, 0.0), "finite"),
+    ])
+    def test_malformed_component_rejected(self, component, message):
+        with pytest.raises(pg.ConfigError, match=message):
+            pg.SignalSpec((component,))
+
     def test_envelope_bound(self):
         grid = pg.SampleGrid.uniform(60, 0.15)
         spec = pg.SignalSpec.reference()
@@ -56,7 +64,7 @@ class TestDrawNoise:
     ])
     def test_generator_kurtosis(self, family, target, tol):
         w = pg.draw_noise(pg.NoiseSpec(family), 2 * 10**6, 77, 3)
-        k = pg.excess_kurtosis(pg.Ensemble(w[None, :]))
+        k = pg.excess_kurtosis(pg.Ensemble(w[:, None]))
         assert abs(k - target) < tol
 
     @pytest.mark.parametrize("spec,public", [
@@ -161,3 +169,10 @@ class TestScaleToSnr:
         grid = pg.SampleGrid.uniform(4, 1.0)
         with pytest.raises(pg.UndefinedSnrError):
             pg.noise_sigma(pg.Sequence(np.zeros(4), grid), 10.0)
+
+    @pytest.mark.parametrize("snr_db", [math.inf, -math.inf, -4000.0, 4000.0, math.nan])
+    def test_sigma_outside_zero_and_infinity_rejected(self, snr_db):
+        # 10 ** 400 overflows and 10 ** -400 underflows: no usable noise level reaches the SNR
+        sig = pg.Sequence(np.ones(4), pg.SampleGrid.uniform(4, 1.0))
+        with pytest.raises(pg.DegenerateDataError, match="zero or non-finite"):
+            pg.noise_sigma(sig, snr_db)

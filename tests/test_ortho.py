@@ -130,6 +130,9 @@ class TestBuildBasis:
         for dt in (1e308, np.inf):
             with pytest.raises(pg.ConfigError, match="finite"):
                 pg.SampleGrid.uniform(60, dt)
+        for dt in (0.0, -0.15):
+            with pytest.raises(pg.ConfigError, match="dt > 0"):
+                pg.SampleGrid.uniform(60, dt)
         for n in (2**62, 2**63 - 1, np.int64(2**62)):  # arange raises, or wraps to empty
             with pytest.raises(pg.ConfigError, match="larger than any array"):
                 pg.SampleGrid.uniform(n, 1.0)
@@ -265,6 +268,9 @@ class TestTransform:
         other = pg.SampleGrid.uniform(4, 1.0)
         with pytest.raises(pg.DimensionError):
             pg.transform(op, pg.Sequence(np.zeros(4), other))
+        # a record whose length differs from its own grid is no sequence at all
+        with pytest.raises(pg.DimensionError, match="does not match grid count"):
+            pg.Sequence(np.zeros(4), GRID3)
 
     def test_same_count_other_points_rejected(self):
         # fitted on its own grid the record would come back unchanged
@@ -346,6 +352,12 @@ class TestErrorCovariance:
         with pytest.raises(pg.InvalidCovarianceError):
             pg.error_covariance(op, S)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4), (3,)])
+    def test_wrong_shape_rejected(self, shape):
+        op = pg.projection_operator(pg.build_basis(GRID3, 2))
+        with pytest.raises(pg.DimensionError, match="covariance must be 3x3"):
+            pg.error_covariance(op, np.ones(shape))
+
 
 class TestSelectOrder:
     def test_oracle_noiseless(self):
@@ -381,6 +393,13 @@ class TestSelectOrder:
                 pg.select_order(GRID3, "penalized", [1, 2], observed=g, noise_var=bad)
         with pytest.raises(pg.ConfigError):
             pg.select_order(GRID3, "bogus", [1, 2])
+        for j_range in ([0, 1], [2, 4]):
+            with pytest.raises(pg.OrderRangeError, match=r"outside \[1, 3\]"):
+                pg.select_order(GRID3, "oracle", j_range, signal=g, noise_var=1.0)
+        with pytest.raises(pg.ConfigError, match="oracle mode needs the clean signal"):
+            pg.select_order(GRID3, "oracle", [1, 2], observed=g, noise_var=1.0)
+        with pytest.raises(pg.ConfigError, match="penalized mode needs the observed record"):
+            pg.select_order(GRID3, "penalized", [1, 2], signal=g, noise_var=1.0)
 
     @pytest.mark.parametrize("mode,key", [("oracle", "signal"), ("penalized", "observed")])
     @pytest.mark.parametrize("n", [5, 6])
